@@ -24,6 +24,7 @@ import (
 	"storagesubsys/internal/expreport"
 	"storagesubsys/internal/failmodel"
 	"storagesubsys/internal/fleet"
+	"storagesubsys/internal/scenario"
 	"storagesubsys/internal/sim"
 	"storagesubsys/internal/stats"
 	"storagesubsys/internal/sweep"
@@ -159,15 +160,35 @@ func BenchmarkSimulateFullScaleWorkersMax(b *testing.B) {
 	benchmarkSimulate(b, 1.0, runtime.GOMAXPROCS(0))
 }
 
+// builtinGrid resolves a built-in grid name to its scenario list.
+func builtinGrid(b *testing.B, name string) []sweep.Scenario {
+	b.Helper()
+	spec, err := scenario.Grid(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return spec.Scenarios
+}
+
+// mustSweep runs a fresh sweep, failing the benchmark on error.
+func mustSweep(b *testing.B, cfg sweep.Config) *sweep.Result {
+	b.Helper()
+	res, err := sweep.Execute(cfg, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // benchmarkSweep measures the Monte-Carlo engine end to end: a
 // 4-trial two-scenario sweep at 1% scale, including the per-scenario
 // fleet build, the Reset-and-rerun trial loop over recycled sim
 // scratch, metric extraction, and ordered aggregation.
 func benchmarkSweep(b *testing.B, workers int) {
-	cfg := sweep.Config{Trials: 4, Seed: 42, Scale: 0.01, Workers: workers, Scenarios: sweep.Grids["smoke"]}
+	cfg := sweep.Config{Trials: 4, Seed: 42, Scale: 0.01, Workers: workers, Scenarios: builtinGrid(b, "smoke")}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sweep.Run(cfg)
+		mustSweep(b, cfg)
 	}
 }
 
@@ -184,10 +205,10 @@ func BenchmarkSweepWorkersMax(b *testing.B) { benchmarkSweep(b, runtime.GOMAXPRO
 // The difference against BenchmarkSweep is the cost of the
 // variance-reduction layer itself.
 func BenchmarkSweepPairedDeltas(b *testing.B) {
-	cfg := sweep.Config{Trials: 4, Seed: 42, Scale: 0.01, Workers: 1, Deltas: true, Scenarios: sweep.Grids["smoke"]}
+	cfg := sweep.Config{Trials: 4, Seed: 42, Scale: 0.01, Workers: 1, Deltas: true, Scenarios: builtinGrid(b, "smoke")}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sweep.Run(cfg)
+		mustSweep(b, cfg)
 	}
 }
 
@@ -198,10 +219,10 @@ func BenchmarkSweepPairedDeltas(b *testing.B) {
 // (slow-repair only overrides the failure model and reuses the
 // baseline fleet via Reset).
 func BenchmarkSweepOpsGrid(b *testing.B) {
-	cfg := sweep.Config{Trials: 2, Seed: 42, Scale: 0.01, Workers: 1, Scenarios: sweep.Grids["ops"]}
+	cfg := sweep.Config{Trials: 2, Seed: 42, Scale: 0.01, Workers: 1, Scenarios: builtinGrid(b, "ops")}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sweep.Run(cfg)
+		mustSweep(b, cfg)
 	}
 }
 
@@ -209,8 +230,8 @@ func BenchmarkSweepOpsGrid(b *testing.B) {
 // paperref registry and rendering the full EXPERIMENTS.md markdown
 // (the sweep itself is excluded via setup).
 func BenchmarkExpreportRender(b *testing.B) {
-	res := sweep.Run(sweep.Config{Trials: 2, Seed: 42, Scale: 0.005, Workers: runtime.GOMAXPROCS(0),
-		Scenarios: sweep.Grids["ops"]})
+	res := mustSweep(b, sweep.Config{Trials: 2, Seed: 42, Scale: 0.005, Workers: runtime.GOMAXPROCS(0),
+		Scenarios: builtinGrid(b, "ops")})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

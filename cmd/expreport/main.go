@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"storagesubsys/internal/expreport"
 	"storagesubsys/internal/scenario"
@@ -52,8 +53,10 @@ func main() {
 
 // run is main minus the process globals, for table-driven tests of
 // flag validation and whole tiny report runs. Exit codes: 0 success
-// (including -h), 2 flag-parse errors, 1 everything else — expreport's
-// long-standing "fatal is always 1" convention for semantic errors.
+// (including -h), 2 flag-parse errors and unknown -grid names (the
+// same message and code as cmd/sweep), 1 everything else —
+// expreport's long-standing "fatal is always 1" convention for
+// semantic errors.
 func run(args []string, stdout, stderr io.Writer) int {
 	canon := expreport.CanonicalConfig()
 	flags := flag.NewFlagSet("expreport", flag.ContinueOnError)
@@ -63,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	trials := flags.Int("trials", canon.Trials, "Monte-Carlo trials per scenario")
 	scale := flags.Float64("scale", canon.Scale, "base population scale")
 	seed := flags.Int64("seed", canon.Seed, "sweep seed")
-	grid := flags.String("grid", "ops", "built-in scenario grid name (see cmd/sweep)")
+	grid := flags.String("grid", "ops", "built-in scenario grid: "+strings.Join(scenario.GridNames(), ", ")+" (file-defined grids use -grid-file)")
 	gridFile := flags.String("grid-file", "", "declarative scenario file: grid, run parameters, and assertion bands to judge (see SCENARIOS.md)")
 	workers := flags.Int("workers", 0, "trial worker goroutines (0 = one per CPU; output is identical for every count)")
 	if err := flags.Parse(args); err != nil {
@@ -148,11 +151,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 				cfg.Scale = *scale
 			}
 		} else {
-			scens, err := sweep.LoadGrid(*grid)
+			// Unknown grid names are usage errors, reported exactly as
+			// cmd/sweep reports them.
+			g, err := scenario.Grid(*grid)
 			if err != nil {
-				return fail(err)
+				fmt.Fprintln(stderr, err)
+				return 2
 			}
-			cfg.Scenarios = scens
+			cfg.Scenarios = g.Scenarios
 		}
 		if cfg.Trials < 1 {
 			return fail(fmt.Errorf("trial count %d must be at least 1 (scenario file and -trials combined)", cfg.Trials))
@@ -162,9 +168,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "expreport: sweeping %d scenarios x %d trials at scale %.2f (seed %d)\n",
 			len(cfg.Scenarios), cfg.Trials, cfg.Scale, cfg.Seed)
-		res = sweep.RunProgress(cfg, func(s sweep.Scenario, done int) {
+		r, err := sweep.Execute(cfg, nil, func(s sweep.Scenario, done int) {
 			fmt.Fprintf(stderr, "expreport: scenario %q complete (%d trials)\n", s.Name, done)
 		})
+		if err != nil {
+			return fail(err)
+		}
+		res = r
 	}
 
 	w := stdout

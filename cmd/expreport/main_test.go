@@ -2,8 +2,9 @@ package main
 
 // Tests for the extracted run(): flag-validation exit codes (expreport
 // keeps its long-standing "fatal is always 1" convention for semantic
-// errors; only flag-parse failures exit 2), the strict -in loader, a
-// tiny -in roundtrip rendering a real report, and usage staleness.
+// errors; only flag-parse failures and unknown -grid names, which
+// share cmd/sweep's message, exit 2), the strict -in loader, a tiny
+// -in roundtrip rendering a real report, and usage staleness.
 
 import (
 	"bytes"
@@ -14,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"storagesubsys/internal/scenario"
 	"storagesubsys/internal/sweep"
 )
 
@@ -27,6 +29,10 @@ func TestRunFlagValidation(t *testing.T) {
 		{"bad-trials", []string{"-trials", "0"}, 1, "expreport: -trials must be at least 1"},
 		{"bad-scale", []string{"-scale", "2"}, 1, "expreport: -scale must be in (0, 1.5]"},
 		{"positional-arg", []string{"render"}, 1, `expreport: unexpected argument "render" (expreport takes flags only; see -h)`},
+		{"unknown-grid", []string{"-grid", "nosuch"}, 2,
+			`scenario: unknown grid "nosuch" (built-ins: burst, default, mine, ops, scale, smoke; scenario files go through -grid-file)` + "\n"},
+		{"grid-path", []string{"-grid", "foo.json"}, 2,
+			`scenario: unknown grid "foo.json" (built-ins: burst, default, mine, ops, scale, smoke; scenario files go through -grid-file)` + "\n"},
 		{"grid-conflict", []string{"-grid", "ops", "-grid-file", "x.json"}, 1, "expreport: -grid and -grid-file are mutually exclusive (one grid per sweep)"},
 		{"in-conflicts-trials", []string{"-in", "r.json", "-trials", "4"}, 1, "expreport: -trials conflicts with -in: the report renders the configuration recorded in r.json"},
 		{"in-conflicts-workers", []string{"-in", "r.json", "-workers", "2"}, 1, "expreport: -workers conflicts with -in"},
@@ -91,11 +97,11 @@ func TestLoadResultRejectsDamage(t *testing.T) {
 // and a report that names the swept scenario. This is the
 // no-recomputation path big sweeps rely on.
 func TestRunInRoundtrip(t *testing.T) {
-	scens, err := sweep.LoadGrid("smoke")
+	smoke, err := scenario.Grid("smoke")
 	if err != nil {
-		t.Fatalf("LoadGrid(smoke): %v", err)
+		t.Fatalf("Grid(smoke): %v", err)
 	}
-	cfg := sweep.Config{Trials: 2, Seed: 42, Scale: 0.004, Scenarios: scens}
+	cfg := sweep.Config{Trials: 2, Seed: 42, Scale: 0.004, Scenarios: smoke.Scenarios}
 	res, err := sweep.Execute(cfg, nil, nil)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)

@@ -14,17 +14,18 @@
 //	      [-variance none|antithetic|stratified] [-deltas]
 //	sweep validate scenario.json...
 //
-// -grid selects a compiled built-in grid; -grid-file loads a
-// declarative scenario file instead (the validated JSON format
-// documented in SCENARIOS.md: run parameters, the scenario grid, and
-// optional assertion bands cmd/expreport joins against the result).
-// Every built-in grid has a committed file twin under
-// examples/scenarios/, and a file-loaded grid sweeps byte-identically
-// to its compiled twin. A scenario file's trials/seed/scale/findings
-// apply unless the corresponding flag is set explicitly: explicit flag
-// > scenario file > default. With -checkpoint, the scenario file's
-// content digest becomes part of the checkpoint identity, so -resume
-// refuses a checkpoint taken under a different scenario file.
+// -grid names a built-in grid: one of the committed scenario files
+// examples/scenarios/<name>.json, embedded in the binary. It takes a
+// name only; -grid-file loads any declarative scenario file instead
+// (the validated JSON format documented in SCENARIOS.md: run
+// parameters, the scenario grid, and optional assertion bands
+// cmd/expreport joins against the result). -grid X and -grid-file
+// examples/scenarios/X.json sweep byte-identically. A scenario file's
+// trials/seed/scale/findings apply unless the corresponding flag is
+// set explicitly: explicit flag > scenario file > default. With
+// -checkpoint, the scenario file's content digest becomes part of the
+// checkpoint identity, so -resume refuses a checkpoint taken under a
+// different scenario file.
 //
 // "sweep validate" parses and validates each named scenario file
 // without running anything, printing one line per file; malformed
@@ -97,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	flags.SetOutput(stderr)
 	trials := flags.Int("trials", 20, "Monte-Carlo trials per scenario")
-	grid := flags.String("grid", "default", "built-in scenario grid: "+strings.Join(sweep.GridNames(), ", ")+" (file-defined grids use -grid-file)")
+	grid := flags.String("grid", "default", "built-in scenario grid: "+strings.Join(scenario.GridNames(), ", ")+" (file-defined grids use -grid-file)")
 	gridFile := flags.String("grid-file", "", "declarative scenario file (validated JSON; see SCENARIOS.md and examples/scenarios/)")
 	scale := flags.Float64("scale", 0.25, "base population scale relative to the paper's 39,000 systems (scenarios may override)")
 	seed := flags.Int64("seed", 42, "sweep seed; fully determines every fleet and trial")
@@ -204,13 +205,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			cfg.Deltas = *deltas
 		}
 	} else {
-		scens, err := sweep.LoadGrid(*grid)
+		// A named grid sets only the scenario list: the flags supply
+		// every run parameter, and no digest enters checkpoint identity.
+		spec, err := scenario.Grid(*grid)
 		if err != nil {
-			// LoadGrid errors already carry the "sweep:" prefix.
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		cfg.Scenarios = scens
+		cfg.Scenarios = spec.Scenarios
 	}
 	if cfg.Trials < 1 {
 		return fail(2, "trial count %d must be at least 1 (scenario file and -trials combined)", cfg.Trials)

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"storagesubsys/internal/scenario"
 	"storagesubsys/internal/sweep"
 )
 
@@ -33,7 +34,10 @@ func TestRunFlagValidation(t *testing.T) {
 		{"resume-without-checkpoint", []string{"-resume"}, 2, "sweep: -resume requires -checkpoint to name the file to resume from"},
 		{"cadence-without-checkpoint", []string{"-checkpoint-every", "8"}, 2, "sweep: -checkpoint-every requires -checkpoint"},
 		{"grid-conflict", []string{"-grid", "smoke", "-grid-file", "x.json"}, 2, "sweep: -grid and -grid-file are mutually exclusive (one grid per sweep)"},
-		{"unknown-grid", []string{"-grid", "bogus"}, 2, `unknown grid "bogus"`},
+		{"unknown-grid", []string{"-grid", "nosuch"}, 2,
+			`scenario: unknown grid "nosuch" (built-ins: burst, default, mine, ops, scale, smoke; scenario files go through -grid-file)` + "\n"},
+		{"grid-path", []string{"-grid", "foo.json"}, 2,
+			`scenario: unknown grid "foo.json" (built-ins: burst, default, mine, ops, scale, smoke; scenario files go through -grid-file)` + "\n"},
 		{"missing-grid-file", []string{"-grid-file", "no-such-file.json"}, 2, "no-such-file.json"},
 		{"antithetic-odd-trials", []string{"-trials", "3", "-variance", "antithetic", "-grid", "smoke"}, 2,
 			`sweep: antithetic pairing needs an even trial count, got 3 (scenario "baseline" resolves to variance antithetic)`},
@@ -147,11 +151,11 @@ func TestRunTinySweepMatchesEngine(t *testing.T) {
 		t.Fatalf("run(%v) = %d, want 0 (stderr %q)", args, code, stderr.String())
 	}
 
-	scens, err := sweep.LoadGrid("smoke")
+	smoke, err := scenario.Grid("smoke")
 	if err != nil {
-		t.Fatalf("LoadGrid(smoke): %v", err)
+		t.Fatalf("Grid(smoke): %v", err)
 	}
-	cfg := sweep.Config{Trials: 2, Seed: 42, Scale: 0.004, Workers: 3, Scenarios: scens}
+	cfg := sweep.Config{Trials: 2, Seed: 42, Scale: 0.004, Workers: 3, Scenarios: smoke.Scenarios}
 	res, err := sweep.Execute(cfg, nil, nil)
 	if err != nil {
 		t.Fatalf("direct Execute: %v", err)

@@ -15,7 +15,8 @@
 // contracts and the findings-traceability table, EXPERIMENTS.md
 // for the per-finding paper-vs-spread verdicts, and SCENARIOS.md for
 // the declarative scenario-file format (cmd/sweep -grid-file) with its
-// committed examples under examples/scenarios/.
+// committed examples under examples/scenarios/, six of which are the
+// built-in grids cmd/sweep -grid names.
 //
 // The public surface lives in the internal packages (this repository is
 // a self-contained study, not an importable SDK):
@@ -39,7 +40,8 @@
 //     lag, shelf-size mix — streaming aggregation, byte-deterministic
 //     output)
 //   - internal/scenario: the declarative scenario artifact — strict
-//     loader and validator for the SCENARIOS.md grid/assertion format
+//     loader and validator for the SCENARIOS.md grid/assertion format,
+//     and the built-in grid lookup (Grid, GridNames)
 //   - internal/paperref: the paper's published values as typed bands
 //     with citations
 //   - internal/expreport: the paper-vs-spread report generator behind

@@ -32,12 +32,17 @@ import (
 // cmd/expreport runs it by default; CI regenerates the report from it
 // and fails if the committed file is out of date.
 func CanonicalConfig() sweep.Config {
+	ops, err := scenario.Grid("ops")
+	if err != nil {
+		// Built-in grids are embedded and parsed by scenario's tests.
+		panic(err)
+	}
 	return sweep.Config{
 		Trials:    24,
 		Seed:      42,
 		Scale:     0.10,
 		Deltas:    true,
-		Scenarios: sweep.Grids["ops"],
+		Scenarios: ops.Scenarios,
 	}
 }
 

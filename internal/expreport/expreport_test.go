@@ -35,13 +35,23 @@ func goldenConfig(workers int) sweep.Config {
 	}
 }
 
+// mustExecute runs a fresh sweep, failing the test on error.
+func mustExecute(tb testing.TB, cfg sweep.Config) *sweep.Result {
+	tb.Helper()
+	res, err := sweep.Execute(cfg, nil, nil)
+	if err != nil {
+		tb.Fatalf("Execute: %v", err)
+	}
+	return res
+}
+
 // TestRenderGolden pins the exact rendered bytes of a small
 // paper-vs-spread report — the same byte-determinism contract CI
 // enforces on the committed EXPERIMENTS.md. Regenerate with
 // `go test ./internal/expreport -run Golden -update` after an
 // intentional report change.
 func TestRenderGolden(t *testing.T) {
-	res := sweep.Run(goldenConfig(2))
+	res := mustExecute(t, goldenConfig(2))
 	var buf bytes.Buffer
 	if err := Render(&buf, res); err != nil {
 		t.Fatalf("Render: %v", err)
@@ -66,10 +76,10 @@ func TestRenderGolden(t *testing.T) {
 // determinism contract — any worker count, same bytes.
 func TestRenderWorkerCountInvariant(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := Render(&a, sweep.Run(goldenConfig(1))); err != nil {
+	if err := Render(&a, mustExecute(t, goldenConfig(1))); err != nil {
 		t.Fatal(err)
 	}
-	if err := Render(&b, sweep.Run(goldenConfig(4))); err != nil {
+	if err := Render(&b, mustExecute(t, goldenConfig(4))); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -158,7 +168,7 @@ func TestConfrontScalesPopulationTargets(t *testing.T) {
 // registry finding with every target resolved (the acceptance
 // criterion behind EXPERIMENTS.md's coverage).
 func TestConfrontCoversEveryFinding(t *testing.T) {
-	res := sweep.Run(sweep.Config{Trials: 1, Seed: 42, Scale: 0.02, Workers: 2,
+	res := mustExecute(t, sweep.Config{Trials: 1, Seed: 42, Scale: 0.02, Workers: 2,
 		Scenarios: []sweep.Scenario{{Name: "baseline"}}})
 	frs := Confront(res.Scenarios[0], 0.02)
 	if len(frs) != len(paperref.Findings) {

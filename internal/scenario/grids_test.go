@@ -1,80 +1,79 @@
 package scenario
 
 import (
-	"bytes"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
-
-	"storagesubsys/internal/sweep"
 )
 
-func loadTwin(t *testing.T, grid string) *Spec {
-	t.Helper()
-	spec, err := Load(filepath.Join("..", "..", "examples", "scenarios", grid+".json"))
-	if err != nil {
-		t.Fatalf("loading the %s twin: %v", grid, err)
+// TestBuiltinGrids pins the built-in grid registry: exactly the six
+// embedded files, each parsing through Parse under its own name, none
+// pinning run parameters, findings or assertions (-grid X must inherit
+// every flag), and an unknown name failing with a pointer to
+// -grid-file.
+func TestBuiltinGrids(t *testing.T) {
+	want := []string{"burst", "default", "mine", "ops", "scale", "smoke"}
+	if got := GridNames(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("GridNames() = %v, want %v", got, want)
 	}
-	return spec
+	for _, name := range want {
+		t.Run(name, func(t *testing.T) {
+			spec, err := Grid(name)
+			if err != nil {
+				t.Fatalf("Grid(%q): %v", name, err)
+			}
+			if spec.Name != name {
+				t.Errorf("grid file %s.json is named %q", name, spec.Name)
+			}
+			if spec.Trials != 0 || spec.Seed != 0 || spec.Scale != 0 || spec.Findings {
+				t.Errorf("grid %s pins run parameters; -grid %s must inherit them from flags", name, name)
+			}
+			if len(spec.Assertions) != 0 {
+				t.Errorf("grid %s carries assertions", name)
+			}
+		})
+	}
+
+	// Anything GridNames does not list — a typo, or a file path that
+	// belongs to -grid-file — fails with one line naming the built-ins
+	// and pointing at -grid-file.
+	for _, name := range []string{"nosuch", "ops.json", "examples/scenarios/ops.json", "", "../scenarios/ops"} {
+		_, err := Grid(name)
+		if err == nil {
+			t.Fatalf("Grid(%q) succeeded", name)
+		}
+		msg := err.Error()
+		for _, part := range []string{"unknown grid", "burst, default, mine, ops, scale, smoke", "-grid-file"} {
+			if !strings.Contains(msg, part) {
+				t.Errorf("Grid(%q) error %q lacks %q", name, msg, part)
+			}
+		}
+		if strings.Contains(msg, "\n") {
+			t.Errorf("Grid(%q) error spans lines: %q", name, msg)
+		}
+	}
 }
 
-// TestTwinsMatchCompiledGrids: every built-in grid has a committed file
-// twin under examples/scenarios/ whose scenario list is exactly the
-// compiled one. Because a sweep result is a pure function of its
-// Config (GridDigest never enters any computed value), twin equality
-// here is what makes file-loaded sweeps byte-identical to compiled
-// ones; TestFileGridByteIdentity spot-checks that end to end.
+// TestTwinsMatchCompiledGrids: every built-in grid's embedded copy and
+// its committed file under examples/scenarios/ parse to the same spec
+// with the same digest, so -grid X and
+// -grid-file examples/scenarios/X.json configure the same sweep.
 func TestTwinsMatchCompiledGrids(t *testing.T) {
-	for _, grid := range sweep.GridNames() {
-		spec := loadTwin(t, grid)
-		if spec.Name != grid {
-			t.Errorf("%s twin is named %q, want %q", grid, spec.Name, grid)
+	for _, name := range GridNames() {
+		builtin, err := Grid(name)
+		if err != nil {
+			t.Fatalf("Grid(%q): %v", name, err)
 		}
-		if spec.Trials != 0 || spec.Seed != 0 || spec.Scale != 0 || spec.Findings {
-			t.Errorf("%s twin must not pin run parameters (it must inherit flags exactly like -grid %s)", grid, grid)
+		file, err := Load(filepath.Join("..", "..", "examples", "scenarios", name+".json"))
+		if err != nil {
+			t.Fatalf("loading the %s file: %v", name, err)
 		}
-		if len(spec.Assertions) != 0 {
-			t.Errorf("%s twin must not carry assertions", grid)
+		if !reflect.DeepEqual(builtin, file) {
+			t.Errorf("%s: built-in and file specs differ:\n built-in: %+v\n file:     %+v", name, builtin, file)
 		}
-		if !reflect.DeepEqual(spec.Scenarios, sweep.Grids[grid]) {
-			t.Errorf("%s twin diverged from the compiled grid:\n file:     %+v\n compiled: %+v",
-				grid, spec.Scenarios, sweep.Grids[grid])
-		}
-	}
-}
-
-// TestFileGridByteIdentity runs real sweeps: for each built-in grid,
-// the file-loaded twin at workers 1 and workers 4 must produce the
-// same JSON bytes as the compiled grid. Tiny trials/scale keep this
-// tier-1 affordable; the scenario-list equality above covers the
-// values this spot check does not sweep.
-func TestFileGridByteIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweeps every grid; skipped with -short")
-	}
-	for _, grid := range sweep.GridNames() {
-		base := sweep.Config{Trials: 2, Seed: 42, Scale: 0.005, Findings: false}
-
-		compiled := base
-		compiled.Workers = 1
-		compiled.Scenarios = sweep.Grids[grid]
-		var want bytes.Buffer
-		if err := sweep.Run(compiled).WriteJSON(&want); err != nil {
-			t.Fatal(err)
-		}
-
-		spec := loadTwin(t, grid)
-		for _, workers := range []int{1, 4} {
-			cfg := spec.Config(base)
-			cfg.Workers = workers
-			var got bytes.Buffer
-			if err := sweep.Run(cfg).WriteJSON(&got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Errorf("grid %s: file-loaded sweep at %d workers diverged from the compiled grid's bytes",
-					grid, workers)
-			}
+		if builtin.Digest() != file.Digest() {
+			t.Errorf("%s: built-in digest %s, file digest %s", name, builtin.Digest(), file.Digest())
 		}
 	}
 }

@@ -2,9 +2,10 @@
 // file describing a sweep grid — run parameters, the scenario list with
 // every override internal/sweep understands, and optional user-authored
 // assertion bands — that cmd/sweep (-grid-file, validate), cmd/expreport
-// and CI all consume. It is the serializable twin of the compiled grids
-// in internal/sweep/grids.go: everything grids.go can express, a file
-// can express, so new questions need no recompilation.
+// and CI all consume. It is the only way a grid is written down: the
+// built-in grids behind -grid are scenario files too, embedded from
+// examples/scenarios/ and resolved by Grid (grids.go), so new questions
+// need no recompilation.
 //
 // The format is strict by construction: encoding/json with
 // DisallowUnknownFields (a typoed override key would otherwise silently
@@ -14,13 +15,12 @@
 // the full format reference; a reflection-driven staleness test fails
 // if a spec field goes undocumented.
 //
-// Determinism: a sweep over a file-loaded grid is byte-identical to the
-// same sweep over an equal compiled grid — the spec only produces
-// sweep.Config values, it adds no randomness and no ordering of its
-// own. Digest fingerprints the parsed spec so the sweep checkpoint
-// machinery can refuse to resume under a different scenario file (see
-// sweep.Config.GridDigest and ARCHITECTURE.md's scenario artifact
-// contract).
+// Determinism: how a grid was loaded never changes a sweep's bytes —
+// the spec only produces sweep.Config values, it adds no randomness and
+// no ordering of its own. Digest fingerprints the parsed spec so the
+// sweep checkpoint machinery can refuse to resume under a different
+// scenario file (see sweep.Config.GridDigest and ARCHITECTURE.md's
+// scenario artifact contract).
 package scenario
 
 import (

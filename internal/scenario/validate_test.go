@@ -44,6 +44,7 @@ func TestValidationErrors(t *testing.T) {
 		{"assertion-findings-gated.json", `assertions[0]: metric "findings_pass" is only defined with top-level "findings": true`},
 		{"assertion-mine-gated.json", `assertions[0]: metric "mined_dropped" is only defined for scenarios with "mine": true (scenario "baseline" does not mine)`},
 		{"unknown-field.json", `unknown field "trails" (every spec field is documented in SCENARIOS.md)`},
+		{"unknown-knob.json", `unknown field "piRateMul" (every spec field is documented in SCENARIOS.md)`},
 		{"syntax-error.json", `2:38: invalid character ']' looking for beginning of value`},
 		{"type-error.json", `2:18: field "trials" holds a JSON string, want int`},
 		{"trailing-data.json", `trailing data after the scenario object (one spec per file)`},

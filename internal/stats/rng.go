@@ -148,9 +148,6 @@ func (r *RNG) Intn(n int) int {
 	return int(hi)
 }
 
-// Int63 returns a non-negative uniform 63-bit integer.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Perm returns a random permutation of [0, n). It allocates its result;
 // hot paths that only need k distinct indices should draw a partial
 // Fisher–Yates over a reused buffer with Intn instead.

@@ -59,12 +59,12 @@ type CheckpointConfig struct {
 	ReservoirSize int        `json:"reservoirSize"`
 	Scenarios     []Scenario `json:"scenarios"`
 	// GridDigest fingerprints the scenario file the grid came from
-	// (empty for compiled grids; omitted from the JSON then, so
-	// pre-digest checkpoints keep loading). The digest is identity even
-	// though equal scenarios compute equal results: a resumed sweep's
-	// report is labeled and joined (assertion bands) by its scenario
-	// file, so silently continuing under a different file would attach
-	// the wrong artifact to the result.
+	// (empty for built-in grids named by -grid; omitted from the JSON
+	// then, so pre-digest checkpoints keep loading). The digest is
+	// identity even though equal scenarios compute equal results: a
+	// resumed sweep's report is labeled and joined (assertion bands) by
+	// its scenario file, so silently continuing under a different file
+	// would attach the wrong artifact to the result.
 	GridDigest string `json:"gridDigest,omitempty"`
 	// Variance is the sweep's base variance-reduction mode — identity
 	// because it changes trial values. Omitted when unset, so
@@ -79,15 +79,11 @@ type CheckpointConfig struct {
 
 // checkpointIdentity resolves a Config to its checkpoint identity,
 // applying the same normalizations Execute applies (minimum trial
-// count, default grid, default reservoir capacity).
+// count, default reservoir capacity).
 func checkpointIdentity(cfg Config) CheckpointConfig {
 	trials := cfg.Trials
 	if trials < 1 {
 		trials = 1
-	}
-	scens := cfg.Scenarios
-	if len(scens) == 0 {
-		scens = Grids["default"]
 	}
 	resCap := cfg.ReservoirSize
 	if resCap <= 0 {
@@ -99,7 +95,7 @@ func checkpointIdentity(cfg Config) CheckpointConfig {
 		Scale:         cfg.Scale,
 		Findings:      cfg.Findings,
 		ReservoirSize: resCap,
-		Scenarios:     scens,
+		Scenarios:     cfg.Scenarios,
 		GridDigest:    cfg.GridDigest,
 		Variance:      cfg.Variance,
 		Deltas:        cfg.Deltas,
@@ -306,7 +302,7 @@ func restoreCheckpoint(st *CheckpointState, ident CheckpointConfig,
 	// The scenario-file digest gets its own error: every other identity
 	// field appears in the generic message below, but a digest mismatch
 	// with otherwise-equal numbers means the scenario *file* changed —
-	// or the grid moved between a file and the compiled registry — and
+	// or the grid moved between a file and a -grid name — and
 	// the fix is different (restore the original file, or start fresh).
 	if st.Config.GridDigest != ident.GridDigest {
 		describe := func(d string) string {

@@ -42,7 +42,7 @@ func TestLoadCheckpointRejectsEnvelope(t *testing.T) {
 
 	// A valid envelope whose payload digest mismatches (one flipped
 	// payload byte after signing) must be ErrCheckpointCorrupt.
-	st := &CheckpointState{Config: checkpointIdentity(Config{Trials: 1, Scenarios: Grids["smoke"]})}
+	st := &CheckpointState{Config: checkpointIdentity(Config{Trials: 1, Scenarios: builtinGrid(t, "smoke")})}
 	st.Scenarios = make([]ScenarioCheckpoint, len(st.Config.Scenarios))
 	good := filepath.Join(dir, "good.ckpt")
 	if err := st.Save(good, nil); err != nil {

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"storagesubsys/internal/faultinject"
+	"storagesubsys/internal/scenario"
 	"storagesubsys/internal/sweep"
 )
 
@@ -30,8 +31,23 @@ func recoveryConfig(workers int) sweep.Config {
 		Seed:      42,
 		Scale:     0.005,
 		Workers:   workers,
-		Scenarios: sweep.Grids["smoke"],
+		Scenarios: smokeGrid,
 	}
+}
+
+// smokeGrid is the built-in smoke grid, resolved once through the
+// same lookup cmd/sweep -grid uses.
+var smokeGrid = namedGrid("smoke")
+
+// namedGrid returns a built-in grid's scenario list. The names are
+// fixed and internal/scenario's tests parse every built-in, so a
+// failure here is a broken build, not a test outcome.
+func namedGrid(name string) []sweep.Scenario {
+	spec, err := scenario.Grid(name)
+	if err != nil {
+		panic(err)
+	}
+	return spec.Scenarios
 }
 
 func mustJSON(t *testing.T, res *sweep.Result) []byte {

@@ -32,7 +32,7 @@ func encodeResult(t *testing.T, res *Result) []byte {
 // final checkpoint the drain wrote: the completed result must be
 // byte-identical to an uninterrupted run at a different worker count.
 func TestInterruptDrainAndResume(t *testing.T) {
-	cfg := testConfig(8, 3)
+	cfg := testConfig(t, 8, 3)
 	want := resultJSON(t, cfg)
 
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
@@ -84,7 +84,7 @@ func TestInterruptDrainAndResume(t *testing.T) {
 // per-scenario TrialsDone, and the final snapshot's PartialResult must
 // be byte-identical to the sweep's own Result.
 func TestOnCheckpointPartialResults(t *testing.T) {
-	cfg := testConfig(6, 2)
+	cfg := testConfig(t, 6, 2)
 	cfg.CheckpointEvery = 1
 	var states []*CheckpointState
 	cfg.OnCheckpoint = func(st *CheckpointState) { states = append(states, st) }
@@ -143,7 +143,7 @@ func TestOnCheckpointPartialResults(t *testing.T) {
 // requires byte-identical output to the direct-build engine, with
 // every distinct (key, seed) built exactly once.
 func TestFleetSourceCachedClones(t *testing.T) {
-	cfg := testConfig(4, 3)
+	cfg := testConfig(t, 4, 3)
 	want := resultJSON(t, cfg)
 
 	type cacheKey struct {
@@ -170,7 +170,7 @@ func TestFleetSourceCachedClones(t *testing.T) {
 		}
 		return f.Clone()
 	}
-	got := encodeResult(t, Run(ccfg))
+	got := encodeResult(t, mustExecute(t, ccfg))
 	if !bytes.Equal(got, want) {
 		t.Fatal("FleetSource-cached sweep bytes differ from direct-build sweep")
 	}

@@ -208,14 +208,16 @@ type Config struct {
 	// CPU (fleet.EffectiveWorkers). Results are byte-identical for
 	// every worker count.
 	Workers int
-	// Scenarios is the grid; empty selects Grids["default"].
+	// Scenarios is the grid (at least one; Execute rejects an empty
+	// grid). cmd/sweep resolves -grid names through
+	// internal/scenario.Grid.
 	Scenarios []Scenario
 	// GridDigest, when non-empty, is the content digest of the scenario
 	// file the grid was loaded from (internal/scenario Spec.Digest).
 	// It never affects any computed value — same scenarios, same bytes,
 	// digest or not — but it participates in checkpoint identity:
 	// resuming refuses a checkpoint taken under a different scenario
-	// file digest. Compiled grids leave it empty.
+	// file digest. Built-in grids named by -grid leave it empty.
 	GridDigest string
 	// Findings additionally evaluates the paper's Findings 1-11 per
 	// trial (the findings_pass metric; roughly doubles per-trial
@@ -305,10 +307,11 @@ type Config struct {
 // crash.
 var ErrKilled = errors.New("sweep: killed by fault-injection hook")
 
-// DefaultConfig mirrors cmd/sweep's flag defaults: 20 trials per
-// scenario over the default three-scenario grid at quarter scale.
+// DefaultConfig mirrors cmd/sweep's run-parameter flag defaults: 20
+// trials per scenario at quarter scale. It names no grid; the caller
+// sets Scenarios (a scenario file's Spec.Config does).
 func DefaultConfig() Config {
-	return Config{Trials: 20, Seed: 42, Scale: 0.25, Scenarios: Grids["default"]}
+	return Config{Trials: 20, Seed: 42, Scale: 0.25}
 }
 
 // trialSeed derives the failure-history seed for one trial. Trial 0
@@ -462,24 +465,6 @@ type trialOut struct {
 // cmd/sweep uses it for stderr progress lines. May be nil.
 type Progress func(scenario Scenario, trialsDone int)
 
-// Run executes the sweep and returns its aggregated Result. See the
-// package comment for the determinism and allocation contracts. It
-// panics on checkpoint IO errors and injected kills — configs using
-// CheckpointPath or Hooks should call Execute instead.
-func Run(cfg Config) *Result {
-	return RunProgress(cfg, nil)
-}
-
-// RunProgress is Run with a per-scenario completion callback, invoked
-// from the collector as each scenario's last trial is aggregated.
-func RunProgress(cfg Config, progress Progress) *Result {
-	res, err := Execute(cfg, nil, progress)
-	if err != nil {
-		panic("sweep: RunProgress: " + err.Error() + " (use Execute for checkpointed or fault-injected runs)")
-	}
-	return res
-}
-
 // newAggregators allocates the collector's aggregation state for one
 // sweep identity: per-scenario, per-metric Welford moments and
 // quantile reservoirs, trial-0 point vectors (NaN until trial 0 has
@@ -523,10 +508,13 @@ func newAggregators(ident CheckpointConfig) (onlines [][]stats.Online, reservoir
 // scenario grid — everything that determines the math; workers,
 // budgets, deadlines and checkpoint cadence are free to differ).
 //
-// Execute returns an error only for checkpoint validation/IO failures
-// and injected kills (ErrKilled); budget- and deadline-stopped sweeps
-// return a Partial Result with err == nil.
+// Execute returns an error for an empty grid, checkpoint
+// validation/IO failures and injected kills (ErrKilled); budget- and
+// deadline-stopped sweeps return a Partial Result with err == nil.
 func Execute(cfg Config, resume *CheckpointState, progress Progress) (*Result, error) {
+	if len(cfg.Scenarios) == 0 {
+		return nil, errors.New("sweep: no scenarios to run (set Config.Scenarios)")
+	}
 	ident := checkpointIdentity(cfg)
 	trials, scens := ident.Trials, ident.Scenarios
 	nScen := len(scens)

@@ -2,30 +2,60 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
+	"io/fs"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+
+	"storagesubsys/examples"
 )
+
+// builtinGrid returns the scenario list of a built-in grid, decoded
+// from the embedded file cmd/sweep -grid resolves. (internal/scenario
+// cannot be imported here: it imports this package.)
+func builtinGrid(tb testing.TB, name string) []Scenario {
+	tb.Helper()
+	data, err := fs.ReadFile(examples.Grids, "scenarios/"+name+".json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var spec struct {
+		Scenarios []Scenario `json:"scenarios"`
+	}
+	if err := json.Unmarshal(data, &spec); err != nil {
+		tb.Fatalf("decoding grid %s: %v", name, err)
+	}
+	return spec.Scenarios
+}
+
+// mustExecute runs a fresh sweep, failing the test on error.
+func mustExecute(tb testing.TB, cfg Config) *Result {
+	tb.Helper()
+	res, err := Execute(cfg, nil, nil)
+	if err != nil {
+		tb.Fatalf("Execute: %v", err)
+	}
+	return res
+}
 
 // testConfig is a cheap two-scenario sweep for the determinism and
 // check tests.
-func testConfig(trials, workers int) Config {
+func testConfig(t *testing.T, trials, workers int) Config {
 	return Config{
 		Trials:    trials,
 		Seed:      42,
 		Scale:     0.005,
 		Workers:   workers,
-		Scenarios: Grids["smoke"],
+		Scenarios: builtinGrid(t, "smoke"),
 	}
 }
 
 func resultJSON(t *testing.T, cfg Config) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Run(cfg).WriteJSON(&buf); err != nil {
+	if err := mustExecute(t, cfg).WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	return buf.Bytes()
@@ -36,9 +66,9 @@ func resultJSON(t *testing.T, cfg Config) []byte {
 // identical for any worker count, because the collector aggregates in
 // global trial order no matter which worker produced a trial.
 func TestSweepWorkerCountEquivalence(t *testing.T) {
-	ref := resultJSON(t, testConfig(4, 1))
+	ref := resultJSON(t, testConfig(t, 4, 1))
 	for _, workers := range []int{2, 3, 8} {
-		got := resultJSON(t, testConfig(4, workers))
+		got := resultJSON(t, testConfig(t, 4, workers))
 		if !bytes.Equal(ref, got) {
 			t.Fatalf("workers=%d JSON differs from workers=1 (%d vs %d bytes)", workers, len(got), len(ref))
 		}
@@ -52,7 +82,7 @@ func TestSweepWorkerCountEquivalence(t *testing.T) {
 // the PR 5 dimensions).
 func TestSweepWorkerCountEquivalenceOpsGrid(t *testing.T) {
 	cfg := func(workers int) Config {
-		return Config{Trials: 2, Seed: 42, Scale: 0.004, Workers: workers, Scenarios: Grids["ops"]}
+		return Config{Trials: 2, Seed: 42, Scale: 0.004, Workers: workers, Scenarios: builtinGrid(t, "ops")}
 	}
 	ref := resultJSON(t, cfg(1))
 	for _, workers := range []int{3, 7} {
@@ -109,7 +139,7 @@ func TestOpsDimensionsChangeRealizations(t *testing.T) {
 	cfg := func(s Scenario) Config {
 		return Config{Trials: 1, Seed: 42, Scale: 0.01, Workers: 2, Scenarios: []Scenario{s}}
 	}
-	baseline := Run(cfg(Scenario{Name: "baseline"}))
+	baseline := mustExecute(t, cfg(Scenario{Name: "baseline"}))
 	baseEvents := float64(baseline.Scenarios[0].Metrics[metricIndex("events_visible")].Point)
 	if baseEvents <= 0 {
 		t.Fatal("baseline produced no events")
@@ -121,7 +151,7 @@ func TestOpsDimensionsChangeRealizations(t *testing.T) {
 		{Name: "repair", RepairLagMult: 64, RepairLagSigma: 1.5},
 		{Name: "sparse", SparseShelfFrac: 0.9},
 	} {
-		res := Run(cfg(s))
+		res := mustExecute(t, cfg(s))
 		same := true
 		for mi, m := range res.Scenarios[0].Metrics {
 			b := baseline.Scenarios[0].Metrics[mi]
@@ -140,8 +170,8 @@ func TestOpsDimensionsChangeRealizations(t *testing.T) {
 // TestSweepRepeatDeterminism: the same config run twice produces the
 // same bytes (pins the reservoir seeding and every aggregation path).
 func TestSweepRepeatDeterminism(t *testing.T) {
-	a := resultJSON(t, testConfig(3, 2))
-	b := resultJSON(t, testConfig(3, 2))
+	a := resultJSON(t, testConfig(t, 3, 2))
+	b := resultJSON(t, testConfig(t, 3, 2))
 	if !bytes.Equal(a, b) {
 		t.Fatal("identical configs produced different JSON")
 	}
@@ -151,8 +181,8 @@ func TestSweepRepeatDeterminism(t *testing.T) {
 // single-seed trial must match the sweep's retained trial 0 bit for
 // bit and sit inside the sweep spread.
 func TestSweepCheck(t *testing.T) {
-	cfg := testConfig(4, runtime.GOMAXPROCS(0))
-	if err := Run(cfg).Check(cfg); err != nil {
+	cfg := testConfig(t, 4, runtime.GOMAXPROCS(0))
+	if err := mustExecute(t, cfg).Check(cfg); err != nil {
 		t.Fatalf("Check: %v", err)
 	}
 }
@@ -162,8 +192,8 @@ func TestSweepCheck(t *testing.T) {
 // Trials, CIs contain their means, quantiles are ordered, and the
 // findings/mining metrics are absent (N == 0) when not enabled.
 func TestSweepSummaryShape(t *testing.T) {
-	cfg := testConfig(5, 2)
-	res := Run(cfg)
+	cfg := testConfig(t, 5, 2)
+	res := mustExecute(t, cfg)
 	if res.Trials != 5 || len(res.Scenarios) != len(cfg.Scenarios) {
 		t.Fatalf("result shape: trials %d, %d scenarios", res.Trials, len(res.Scenarios))
 	}
@@ -207,9 +237,9 @@ func TestSweepSummaryShape(t *testing.T) {
 // TestSweepFindingsMetric checks that -findings populates the
 // findings_pass metric.
 func TestSweepFindingsMetric(t *testing.T) {
-	cfg := testConfig(2, 2)
+	cfg := testConfig(t, 2, 2)
 	cfg.Findings = true
-	res := Run(cfg)
+	res := mustExecute(t, cfg)
 	m := res.Scenarios[0].Metrics[metricIndex("findings_pass")]
 	if m.N != 2 {
 		t.Fatalf("findings_pass N = %d, want 2", m.N)
@@ -233,7 +263,7 @@ func TestSweepPerTrialAllocsFlat(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		Run(cfg(trials))
+		mustExecute(t, cfg(trials))
 		runtime.ReadMemStats(&after)
 		return float64(after.Mallocs - before.Mallocs)
 	}
@@ -250,53 +280,13 @@ func TestSweepPerTrialAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestLoadGrid covers the registry and the error paths.
-func TestLoadGrid(t *testing.T) {
-	for _, name := range GridNames() {
-		g, err := LoadGrid(name)
-		if err != nil || len(g) == 0 {
-			t.Errorf("LoadGrid(%q): %v (%d scenarios)", name, err, len(g))
-		}
-	}
-	if _, err := LoadGrid("no-such-grid"); err == nil || !strings.Contains(err.Error(), "unknown grid") {
-		t.Errorf("unknown grid error = %v", err)
-	}
-	if len(Grids["default"]) < 3 {
-		t.Errorf("default grid has %d scenarios, want >= 3", len(Grids["default"]))
-	}
-}
-
-// TestLoadGridFile covers the JSON-file path: a valid custom grid
-// round-trips, and a typoed override key is rejected instead of
-// silently degrading the scenario to a baseline duplicate.
-func TestLoadGridFile(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "grid.json")
-	if err := os.WriteFile(good, []byte(`[{"name":"afr-x3","diskAFRMult":3},{"name":"span","spanShelves":1}]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	scens, err := LoadGrid(good)
-	if err != nil {
-		t.Fatalf("LoadGrid(good): %v", err)
-	}
-	if len(scens) != 2 || scens[0].DiskAFRMult != 3 || scens[1].SpanShelves != 1 {
-		t.Fatalf("LoadGrid(good) = %+v", scens)
-	}
-
-	typo := filepath.Join(dir, "typo.json")
-	if err := os.WriteFile(typo, []byte(`[{"name":"pi-x2","piRateMul":2}]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadGrid(typo); err == nil {
-		t.Fatal("typoed override key must be rejected, not ignored")
-	}
-
-	unnamed := filepath.Join(dir, "unnamed.json")
-	if err := os.WriteFile(unnamed, []byte(`[{"scale":0.1}]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadGrid(unnamed); err == nil {
-		t.Fatal("nameless scenario must be rejected")
+// TestExecuteRejectsEmptyGrid: with no scenarios there is nothing to
+// sweep, and Execute says so instead of substituting a grid or
+// panicking.
+func TestExecuteRejectsEmptyGrid(t *testing.T) {
+	res, err := Execute(Config{Trials: 1, Seed: 42, Scale: 0.005}, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "no scenarios") {
+		t.Fatalf("Execute with no scenarios = %v, %v; want a no-scenarios error", res, err)
 	}
 }
 

@@ -55,7 +55,7 @@ func TestCRNStreamIdentity(t *testing.T) {
 		Trials: 4, Seed: 42, Scale: 0.005, Workers: 3, Deltas: true,
 		Scenarios: []Scenario{{Name: "baseline"}, {Name: "crn-twin"}},
 	}
-	res := Run(cfg)
+	res := mustExecute(t, cfg)
 	if len(res.Deltas) != 1 {
 		t.Fatalf("%d delta blocks, want 1 (the twin against the baseline)", len(res.Deltas))
 	}
