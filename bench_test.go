@@ -199,6 +199,17 @@ func BenchmarkSweep(b *testing.B) { benchmarkSweep(b, 1) }
 // BenchmarkSweepWorkersMax shards the trials over every available CPU.
 func BenchmarkSweepWorkersMax(b *testing.B) { benchmarkSweep(b, runtime.GOMAXPROCS(0)) }
 
+// BenchmarkSweepFindings is BenchmarkSweep with the Findings 1-11
+// verdicts evaluated every trial (findings_pass): the difference is the
+// cost of the findings-only analyses over the shared per-trial one.
+func BenchmarkSweepFindings(b *testing.B) {
+	cfg := sweep.Config{Trials: 4, Seed: 42, Scale: 0.01, Workers: 1, Findings: true, Scenarios: builtinGrid(b, "smoke")}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		mustSweep(b, cfg)
+	}
+}
+
 // BenchmarkSweepPairedDeltas measures the sweep with CRN paired-delta
 // aggregation on: the same smoke grid as BenchmarkSweep plus the
 // deltaAgg absorbing every trial vector and the delta-table summaries.
@@ -251,7 +262,9 @@ func BenchmarkEmitLogs(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		em.EmitAll(events)
+		for _, ev := range events {
+			em.Emit(ev)
+		}
 	}
 }
 
@@ -264,9 +277,11 @@ func BenchmarkParseAndClassify(b *testing.B) {
 		events = events[:2000]
 	}
 	var sb strings.Builder
-	for _, m := range em.EmitAll(events) {
-		sb.WriteString(m.Render())
-		sb.WriteByte('\n')
+	for _, ev := range events {
+		for _, m := range em.Emit(ev) {
+			sb.WriteString(m.Render())
+			sb.WriteByte('\n')
+		}
 	}
 	text := sb.String()
 	b.SetBytes(int64(len(text)))

@@ -67,13 +67,6 @@ type Database struct {
 	weeks   int
 }
 
-// Weeks returns the number of weekly collection periods in the study
-// window.
-func (db *Database) Weeks() int { return db.weeks }
-
-// Fleet returns the topology the database was collected from.
-func (db *Database) Fleet() *fleet.Fleet { return db.fleet }
-
 // Bundles returns a system's week-ordered bundles.
 func (db *Database) Bundles(systemID int) []Bundle { return db.bundles[systemID] }
 

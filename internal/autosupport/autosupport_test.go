@@ -43,7 +43,7 @@ func TestCollectBundlesAllEvents(t *testing.T) {
 			if b.SystemID != sysID {
 				t.Fatal("bundle system mismatch")
 			}
-			if b.Week < 0 || b.Week >= db.Weeks() {
+			if b.Week < 0 || b.Week >= db.weeks {
 				t.Fatalf("bundle week %d out of range", b.Week)
 			}
 			for i := 1; i < len(b.Messages); i++ {

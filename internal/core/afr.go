@@ -75,19 +75,6 @@ func (ds *Dataset) AFRByGroup(key GroupKey, fl Filter) []Breakdown {
 	groupOf := make(map[int]string, len(ds.Fleet.Systems)) // system ID -> label
 	byLabel := make(map[string]*Breakdown)
 
-	get := func(label string) *Breakdown {
-		b := byLabel[label]
-		if b == nil {
-			b = &Breakdown{
-				Label:  label,
-				Events: make(map[failmodel.FailureType]int),
-				AFR:    make(map[failmodel.FailureType]float64),
-			}
-			byLabel[label] = b
-		}
-		return b
-	}
-
 	for _, s := range ds.Fleet.Systems {
 		if !fl.admitsSystem(s) {
 			continue
@@ -97,7 +84,11 @@ func (ds *Dataset) AFRByGroup(key GroupKey, fl Filter) []Breakdown {
 			continue
 		}
 		groupOf[s.ID] = label
-		b := get(label)
+		b := byLabel[label]
+		if b == nil {
+			b = &Breakdown{Label: label, Events: make(map[failmodel.FailureType]int), AFR: make(map[failmodel.FailureType]float64)}
+			byLabel[label] = b
+		}
 		b.Systems++
 		b.Shelves += len(s.Shelves)
 		b.Groups += len(s.RAIDGroups)

@@ -74,30 +74,22 @@ func (ds *Dataset) Correlation(scope Scope, opts CorrelationOptions) []Correlati
 	}
 	fl := opts.Filter
 
-	// Container observation starts: the owning system's install time.
-	type containerInfo struct {
-		start simtime.Seconds
+	// Containers observed for at least the window, keyed by ID, start
+	// observation at the owning system's install time.
+	containers := make(map[int]simtime.Seconds)
+	admit := func(id, system int) {
+		sys := ds.Fleet.Systems[system]
+		if fl.admitsSystem(sys) && simtime.StudyDuration-sys.Install >= window {
+			containers[id] = sys.Install
+		}
 	}
-	containers := make(map[int]containerInfo)
 	if scope == ByShelf {
 		for _, sh := range ds.Fleet.Shelves {
-			sys := ds.Fleet.Systems[sh.System]
-			if !fl.admitsSystem(sys) {
-				continue
-			}
-			if simtime.StudyDuration-sys.Install >= window {
-				containers[sh.ID] = containerInfo{start: sys.Install}
-			}
+			admit(sh.ID, sh.System)
 		}
 	} else {
 		for _, g := range ds.Fleet.Groups {
-			sys := ds.Fleet.Systems[g.System]
-			if !fl.admitsSystem(sys) {
-				continue
-			}
-			if simtime.StudyDuration-sys.Install >= window {
-				containers[g.ID] = containerInfo{start: sys.Install}
-			}
+			admit(g.ID, g.System)
 		}
 	}
 
@@ -114,11 +106,8 @@ func (ds *Dataset) Correlation(scope Scope, opts CorrelationOptions) []Correlati
 				continue
 			}
 		}
-		info, ok := containers[id]
-		if !ok {
-			continue
-		}
-		if e.Detected < info.start || e.Detected >= info.start+window {
+		start, ok := containers[id]
+		if !ok || e.Detected < start || e.Detected >= start+window {
 			continue
 		}
 		c := counts[id]
@@ -161,19 +150,6 @@ func (ds *Dataset) Correlation(scope Scope, opts CorrelationOptions) []Correlati
 		results = append(results, res)
 	}
 	return results
-}
-
-// TheoreticalPN returns the independence prediction P(N) = P(1)^N / N!
-// (the paper's equation 4).
-func TheoreticalPN(p1 float64, n int) float64 {
-	if n < 0 {
-		return math.NaN()
-	}
-	result := 1.0
-	for i := 1; i <= n; i++ {
-		result *= p1 / float64(i)
-	}
-	return result
 }
 
 // proportionVsTheory tests an observed count of successes in n trials

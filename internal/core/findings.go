@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"strings"
 
 	"storagesubsys/internal/failmodel"
 	"storagesubsys/internal/fleet"
@@ -24,47 +24,34 @@ type Finding struct {
 // dataset and returns them in order. This is the headline integration
 // surface: a reproduction is faithful when all findings pass.
 func (ds *Dataset) EvaluateFindings() []Finding {
-	noH := Filter{ExcludeFamily: fleet.ProblemFamily}
-	byClass := breakdownIndex(ds.AFRByClass(noH))
-	shelfGaps := ds.Gaps(ByShelf, Filter{})
-	rgGaps := ds.Gaps(ByRAIDGroup, Filter{})
-
-	findings := []Finding{
-		ds.finding1(byClass),
-		ds.finding2(byClass),
-		ds.finding3(),
-		ds.finding4(),
-		ds.finding5(),
-		ds.finding6(),
-		ds.finding7(),
-		ds.finding8(shelfGaps),
-		ds.finding9(shelfGaps, rgGaps),
-		ds.finding10(rgGaps),
-		ds.finding11(),
-	}
-	return findings
+	return ds.Analyze().Findings()
 }
 
-func breakdownIndex(bs []Breakdown) map[string]Breakdown {
-	m := make(map[string]Breakdown, len(bs))
-	for _, b := range bs {
-		m[b.Label] = b
+// Findings derives the Findings 1–11 verdicts from the shared analysis.
+// Only the RAID-group correlation (Finding 11) and the Gamma
+// goodness-of-fit tests (Finding 8) are computed here.
+func (a *Analysis) Findings() []Finding {
+	return []Finding{
+		a.finding1(), a.finding2(), a.finding3(), a.finding4(), a.finding5(), a.finding6(), a.finding7(),
+		finding8(a.ShelfGaps), finding9(a.ShelfGaps, a.RAIDGroupGaps), finding10(a.RAIDGroupGaps),
+		a.finding11(),
 	}
-	return m
 }
 
 // Finding 1: disk failures contribute 20-55% of storage subsystem
 // failures; physical interconnects 27-68%; protocol and performance
 // failures are noticeable fractions.
-func (ds *Dataset) finding1(byClass map[string]Breakdown) Finding {
+func (a *Analysis) finding1() Finding {
 	f := Finding{ID: 1, Title: "Disk failures are 20-55% of subsystem failures; interconnects 27-68%; protocol and performance failures noticeable"}
 	pass := true
 	detail := ""
+	judged := 0
 	for _, c := range fleet.Classes {
-		b, ok := byClass[c.String()]
+		b, ok := a.Class(c)
 		if !ok || b.TotalEvents() == 0 {
 			continue
 		}
+		judged++
 		disk := b.Share(failmodel.DiskFailure)
 		pi := b.Share(failmodel.PhysicalInterconnect)
 		proto := b.Share(failmodel.Protocol)
@@ -83,17 +70,17 @@ func (ds *Dataset) finding1(byClass map[string]Breakdown) Finding {
 			pass = false
 		}
 	}
-	f.Pass = pass
+	f.Pass = pass && judged > 0
 	f.Detail = detail
 	return f
 }
 
 // Finding 2: near-line disks fail more than low-end disks, yet near-line
 // storage subsystems fail less than low-end ones.
-func (ds *Dataset) finding2(byClass map[string]Breakdown) Finding {
+func (a *Analysis) finding2() Finding {
 	f := Finding{ID: 2, Title: "Near-line disk AFR > low-end disk AFR, but near-line subsystem AFR < low-end subsystem AFR"}
-	nl, okNL := byClass[fleet.NearLine.String()]
-	low, okLow := byClass[fleet.LowEnd.String()]
+	nl, okNL := a.Class(fleet.NearLine)
+	low, okLow := a.Class(fleet.LowEnd)
 	if !okNL || !okLow {
 		f.Detail = "missing class data"
 		return f
@@ -106,30 +93,47 @@ func (ds *Dataset) finding2(byClass map[string]Breakdown) Finding {
 	return f
 }
 
+// familyHKey compares family-H systems with the rest within the
+// classes that deploy family H (all but near-line), so the class mix
+// does not confound Finding 3.
+func familyHKey(s *fleet.System) (string, bool) {
+	if s.Class == fleet.NearLine {
+		return "", false
+	}
+	if s.DiskModel.Family == fleet.ProblemFamily {
+		return "family H", true
+	}
+	return "other families", true
+}
+
+// familyHComparison returns Finding 3's two groups and the family-H
+// subsystem AFR over the other families'; the ratio is NaN when either
+// population is missing or the other families saw no failures.
+func familyHComparison(bs []Breakdown) (h, rest Breakdown, ratio float64) {
+	h, okH := lookup(bs, "family H")
+	rest, okRest := lookup(bs, "other families")
+	if !okH || !okRest || rest.TotalAFR() == 0 {
+		return h, rest, math.NaN()
+	}
+	return h, rest, h.TotalAFR() / rest.TotalAFR()
+}
+
+// FamilyHAFRRatio is Finding 3's statistic (the sweep's
+// family_h_afr_ratio).
+func (a *Analysis) FamilyHAFRRatio() float64 {
+	_, _, ratio := familyHComparison(a.FamilyH)
+	return ratio
+}
+
 // Finding 3: subsystems using the problematic disk family show about 2x
 // the AFR of other subsystems.
-func (ds *Dataset) finding3() Finding {
+func (a *Analysis) finding3() Finding {
 	f := Finding{ID: 3, Title: "Problematic disk family (H) doubles storage subsystem AFR"}
-	// Compare within the classes that deploy family H, so the class mix
-	// does not confound the comparison.
-	hasH := func(s *fleet.System) bool { return s.Class != fleet.NearLine }
-	bs := ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		if !hasH(s) {
-			return "", false
-		}
-		if s.DiskModel.Family == fleet.ProblemFamily {
-			return "family H", true
-		}
-		return "other families", true
-	}, Filter{})
-	idx := breakdownIndex(bs)
-	h, okH := idx["family H"]
-	rest, okRest := idx["other families"]
-	if !okH || !okRest || rest.TotalAFR() == 0 {
+	h, rest, ratio := familyHComparison(a.FamilyH)
+	if math.IsNaN(ratio) {
 		f.Detail = "missing family H population"
 		return f
 	}
-	ratio := h.TotalAFR() / rest.TotalAFR()
 	f.Pass = ratio >= 1.5
 	f.Detail = fmt.Sprintf("subsystem AFR %.2f%% (family H) vs %.2f%% (others): %.1fx", h.TotalAFR()*100, rest.TotalAFR()*100, ratio)
 	return f
@@ -151,63 +155,34 @@ type EnvSpread struct {
 // EnvAFRSpread computes Finding 4's spread comparison — the statistic
 // behind the finding4 verdict and the sweep's afr_spread_disk /
 // afr_spread_subsys metrics. Environments are (class, shelf model,
-// disk model) groups with at least 200 disk-years of exposure;
-// iteration is in sorted model order so the float averages are
-// deterministic.
+// disk model) groups with at least 200 disk-years of exposure. Labels
+// lead with the disk model, so the sorted breakdowns arrive grouped by
+// model in a fixed order and the float averages are deterministic.
 func (ds *Dataset) EnvAFRSpread() EnvSpread {
-	// Group by (class, shelf model, disk model); then for disk models in
-	// >= 2 environments compare relative spread of disk vs subsystem AFR.
-	type envGroup struct {
-		disk, total float64
-		years       float64
-	}
-	envs := make(map[fleet.DiskModel][]envGroup)
 	bs := ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		return fmt.Sprintf("%s|%s|%s", s.Class, s.ShelfModel, s.DiskModel), true
+		return fmt.Sprintf("%s|%s|%s", s.DiskModel, s.Class, s.ShelfModel), true
 	}, Filter{})
-	// Recover the disk model from the label via a second pass keyed the
-	// same way.
-	labelModel := make(map[string]fleet.DiskModel)
-	for _, s := range ds.Fleet.Systems {
-		labelModel[fmt.Sprintf("%s|%s|%s", s.Class, s.ShelfModel, s.DiskModel)] = s.DiskModel
+	var diskSpreads, totalSpreads, disks, totals []float64
+	flush := func() { // close one model's environments
+		if len(disks) >= 2 {
+			diskSpreads = append(diskSpreads, relStd(disks))
+			totalSpreads = append(totalSpreads, relStd(totals))
+		}
+		disks, totals = disks[:0], totals[:0]
 	}
+	model := ""
 	for _, b := range bs {
 		if b.DiskYears < 200 { // skip tiny environments: AFR too noisy
 			continue
 		}
-		m := labelModel[b.Label]
-		envs[m] = append(envs[m], envGroup{disk: b.AFR[failmodel.DiskFailure], total: b.TotalAFR(), years: b.DiskYears})
+		if m, _, _ := strings.Cut(b.Label, "|"); m != model {
+			flush()
+			model = m
+		}
+		disks = append(disks, b.AFR[failmodel.DiskFailure])
+		totals = append(totals, b.TotalAFR())
 	}
-	// Iterate models in a fixed order: the spread averages are float
-	// sums, so map order would leak into low-order output digits.
-	models := make([]fleet.DiskModel, 0, len(envs))
-	for m := range envs {
-		models = append(models, m)
-	}
-	sort.Slice(models, func(i, j int) bool {
-		a, b := models[i], models[j]
-		if a.Family != b.Family {
-			return a.Family < b.Family
-		}
-		if a.Capacity != b.Capacity {
-			return a.Capacity < b.Capacity
-		}
-		return a.Type < b.Type // total order: same family+capacity can differ in type
-	})
-	var diskSpreads, totalSpreads []float64
-	for _, m := range models {
-		gs := envs[m]
-		if len(gs) < 2 {
-			continue
-		}
-		var disks, totals []float64
-		for _, g := range gs {
-			disks = append(disks, g.disk)
-			totals = append(totals, g.total)
-		}
-		diskSpreads = append(diskSpreads, relStd(disks))
-		totalSpreads = append(totalSpreads, relStd(totals))
-	}
+	flush()
 	if len(diskSpreads) == 0 {
 		return EnvSpread{DiskRelStd: math.NaN(), SubsysRelStd: math.NaN()}
 	}
@@ -220,9 +195,9 @@ func (ds *Dataset) EnvAFRSpread() EnvSpread {
 
 // Finding 4: a disk model's disk AFR is stable across environments while
 // its storage subsystem AFR varies strongly.
-func (ds *Dataset) finding4() Finding {
+func (a *Analysis) finding4() Finding {
 	f := Finding{ID: 4, Title: "Disk AFR stable across environments; subsystem AFR varies strongly"}
-	sp := ds.EnvAFRSpread()
+	sp := a.Env
 	if sp.Models == 0 {
 		f.Detail = "no disk model spans multiple environments"
 		return f
@@ -233,32 +208,31 @@ func (ds *Dataset) finding4() Finding {
 	return f
 }
 
+// afrByDiskModelAll is the whole fleet's breakdown per disk model.
+func (ds *Dataset) afrByDiskModelAll() []Breakdown {
+	return ds.AFRByGroup(func(s *fleet.System) (string, bool) {
+		return s.DiskModel.String(), true
+	}, Filter{})
+}
+
 // capacityPairs lists the within-family (smaller, larger) capacity
 // pairs the Finding 5 comparison walks — every family deploying
 // multiple capacities.
 var capacityPairs = [][2]string{{"A-1", "A-2"}, {"A-2", "A-3"}, {"D-1", "D-2"}, {"D-2", "D-3"}, {"C-1", "C-2"}, {"F-1", "F-2"}, {"I-1", "I-2"}, {"J-1", "J-2"}}
 
-// CapacityAFRMeanRatio returns the mean ratio of the larger capacity's
-// disk AFR to the smaller capacity's across the within-family pairs
-// with at least 5000 disk-years on both sides, and how many pairs
-// qualified — Finding 5's statistic (the paper: AFR does not grow with
-// capacity, so the ratio stays at or below ~1). NaN with zero pairs
-// when no pair has enough exposure.
-func (ds *Dataset) CapacityAFRMeanRatio() (ratio float64, pairs int) {
-	bs := ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		return s.DiskModel.String(), true
-	}, Filter{})
-	afr := make(map[string]float64)
-	years := make(map[string]float64)
-	for _, b := range bs {
-		afr[b.Label] = b.AFR[failmodel.DiskFailure]
-		years[b.Label] = b.DiskYears
-	}
+// capacityPair returns a pair's smaller- and larger-capacity disk
+// AFRs; ok is false unless both models have 5000 disk-years or more.
+func capacityPair(byModel []Breakdown, p [2]string) (small, large float64, ok bool) {
+	s, okS := lookup(byModel, p[0])
+	l, okL := lookup(byModel, p[1])
+	return s.AFR[failmodel.DiskFailure], l.AFR[failmodel.DiskFailure], okS && okL && s.DiskYears >= 5000 && l.DiskYears >= 5000
+}
+
+func capacityAFRMeanRatio(byModel []Breakdown) (ratio float64, pairs int) {
 	sum := 0.0
 	for _, p := range capacityPairs {
-		small, okS := afr[p[0]]
-		large, okL := afr[p[1]]
-		if !okS || !okL || small == 0 || years[p[0]] < 5000 || years[p[1]] < 5000 {
+		small, large, ok := capacityPair(byModel, p)
+		if !ok || small == 0 {
 			continue
 		}
 		sum += large / small
@@ -270,27 +244,32 @@ func (ds *Dataset) CapacityAFRMeanRatio() (ratio float64, pairs int) {
 	return sum / float64(pairs), pairs
 }
 
+// CapacityAFRMeanRatio returns the mean ratio of the larger capacity's
+// disk AFR to the smaller capacity's across the within-family pairs
+// with at least 5000 disk-years on both sides, and how many pairs
+// qualified — Finding 5's statistic (the paper: AFR does not grow with
+// capacity, so the ratio stays at or below ~1). NaN with zero pairs
+// when no pair has enough exposure.
+func (ds *Dataset) CapacityAFRMeanRatio() (ratio float64, pairs int) {
+	return capacityAFRMeanRatio(ds.afrByDiskModelAll())
+}
+
+// CapacityAFRMeanRatio is Dataset.CapacityAFRMeanRatio on the analysis.
+func (a *Analysis) CapacityAFRMeanRatio() (ratio float64, pairs int) {
+	return capacityAFRMeanRatio(a.ByDiskModel)
+}
+
 // Finding 5: AFR does not increase with disk capacity.
-func (ds *Dataset) finding5() Finding {
+func (a *Analysis) finding5() Finding {
 	f := Finding{ID: 5, Title: "AFR does not increase with disk size"}
-	bs := ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		return s.DiskModel.String(), true
-	}, Filter{})
-	afr := make(map[string]float64)
-	years := make(map[string]float64)
-	for _, b := range bs {
-		afr[b.Label] = b.AFR[failmodel.DiskFailure]
-		years[b.Label] = b.DiskYears
-	}
 	// For every family with multiple capacities, the larger capacity
 	// must not be meaningfully worse than the smaller one.
 	pass := true
 	detail := ""
 	checked := 0
 	for _, p := range capacityPairs {
-		small, okS := afr[p[0]]
-		large, okL := afr[p[1]]
-		if !okS || !okL || years[p[0]] < 5000 || years[p[1]] < 5000 {
+		small, large, ok := capacityPair(a.ByDiskModel, p)
+		if !ok {
 			continue
 		}
 		checked++
@@ -304,24 +283,32 @@ func (ds *Dataset) finding5() Finding {
 	return f
 }
 
-// shelfCompareModels are the low-end disk models the paper's Figure 6
-// deploys with both shelf enclosure models — the comparison set shared
-// by finding6 and ShelfModelPIDelta.
-var shelfCompareModels = []fleet.DiskModel{fleet.DiskA2, fleet.DiskA3, fleet.DiskD2, fleet.DiskD3}
+// ShelfCompareModels are the low-end disk models the paper's Figure 6
+// deploys with both shelf enclosure models — the comparison set of
+// Figure 6, Finding 6 and ShelfModelPIDelta.
+var ShelfCompareModels = []fleet.DiskModel{fleet.DiskA2, fleet.DiskA3, fleet.DiskD2, fleet.DiskD3}
 
-// ShelfModelPIDelta is Finding 6's effect size — the statistic behind
-// the sweep's shelf_model_pi_delta metric: over the low-end disk
-// models deployed with both shelf enclosure models A and B, the mean
-// relative physical interconnect AFR difference |A−B| / mean(A, B).
-// NaN when no model is deployed with both shelf models (or the rates
-// vanish).
-func (ds *Dataset) ShelfModelPIDelta() float64 {
+func (ds *Dataset) shelfPanels() [][]Breakdown {
+	panels := make([][]Breakdown, len(ShelfCompareModels))
+	for i, m := range ShelfCompareModels {
+		panels[i] = ds.AFRByShelfModel(fleet.LowEnd, m, Filter{})
+	}
+	return panels
+}
+
+// shelfPair returns a Figure 6 panel's shelf model A and B bars; ok is
+// false unless the panel has both.
+func shelfPair(panel []Breakdown) (a, b Breakdown, ok bool) {
+	a, okA := lookup(panel, "Shelf Enclosure Model A")
+	b, okB := lookup(panel, "Shelf Enclosure Model B")
+	return a, b, okA && okB
+}
+
+func shelfModelPIDelta(panels [][]Breakdown) float64 {
 	sum, n := 0.0, 0
-	for _, m := range shelfCompareModels {
-		idx := breakdownIndex(ds.AFRByShelfModel(fleet.LowEnd, m, Filter{}))
-		a, okA := idx["Shelf Enclosure Model A"]
-		b, okB := idx["Shelf Enclosure Model B"]
-		if !okA || !okB || a.DiskYears == 0 || b.DiskYears == 0 {
+	for _, panel := range panels {
+		a, b, ok := shelfPair(panel)
+		if !ok || a.DiskYears == 0 || b.DiskYears == 0 {
 			continue
 		}
 		pa := a.AFR[failmodel.PhysicalInterconnect]
@@ -338,45 +325,45 @@ func (ds *Dataset) ShelfModelPIDelta() float64 {
 	return sum / float64(n)
 }
 
+// ShelfModelPIDelta is Finding 6's effect size — the statistic behind
+// the sweep's shelf_model_pi_delta metric: over the low-end disk
+// models deployed with both shelf enclosure models A and B, the mean
+// relative physical interconnect AFR difference |A−B| / mean(A, B).
+// NaN when no model is deployed with both shelf models (or the rates
+// vanish).
+func (ds *Dataset) ShelfModelPIDelta() float64 { return shelfModelPIDelta(ds.shelfPanels()) }
+
+// ShelfModelPIDelta is Dataset.ShelfModelPIDelta on the analysis.
+func (a *Analysis) ShelfModelPIDelta() float64 { return shelfModelPIDelta(a.ShelfPanels) }
+
 // Finding 6: shelf enclosure model strongly impacts physical
 // interconnect failures, and different shelf models win for different
 // disk models.
-func (ds *Dataset) finding6() Finding {
+func (a *Analysis) finding6() Finding {
 	f := Finding{ID: 6, Title: "Shelf enclosure model matters, with different winners per disk model"}
-	type comparison struct {
-		model  fleet.DiskModel
-		winner fleet.ShelfModel
-		test   stats.TTestResult
-	}
-	var comps []comparison
-	for _, m := range shelfCompareModels {
-		bs := ds.AFRByShelfModel(fleet.LowEnd, m, Filter{})
-		idx := breakdownIndex(bs)
-		a, okA := idx["Shelf Enclosure Model A"]
-		b, okB := idx["Shelf Enclosure Model B"]
-		if !okA || !okB {
-			continue
-		}
-		test := CompareAFR(a, b, failmodel.PhysicalInterconnect)
-		winner := fleet.ShelfA
-		if b.AFR[failmodel.PhysicalInterconnect] < a.AFR[failmodel.PhysicalInterconnect] {
-			winner = fleet.ShelfB
-		}
-		comps = append(comps, comparison{model: m, winner: winner, test: test})
-	}
-	if len(comps) < 2 {
-		f.Detail = "insufficient shelf-model overlap"
-		return f
-	}
-	significant := 0
+	compared, significant := 0, 0
 	winners := map[fleet.ShelfModel]bool{}
 	detail := ""
-	for _, c := range comps {
-		if c.test.Confidence() >= 99 {
+	for i, m := range ShelfCompareModels {
+		sa, sb, ok := shelfPair(a.ShelfPanels[i])
+		if !ok {
+			continue
+		}
+		compared++
+		test := CompareAFR(sa, sb, failmodel.PhysicalInterconnect)
+		winner := fleet.ShelfA
+		if sb.AFR[failmodel.PhysicalInterconnect] < sa.AFR[failmodel.PhysicalInterconnect] {
+			winner = fleet.ShelfB
+		}
+		if test.Confidence() >= 99 {
 			significant++
 		}
-		winners[c.winner] = true
-		detail += fmt.Sprintf("%s: shelf %s wins (%.1f%% conf); ", c.model, c.winner, c.test.Confidence())
+		winners[winner] = true
+		detail += fmt.Sprintf("%s: shelf %s wins (%.1f%% conf); ", m, winner, test.Confidence())
+	}
+	if compared < 2 {
+		f.Detail = "insufficient shelf-model overlap"
+		return f
 	}
 	// The paper finds every comparison significant at >= 99.5% on the
 	// full 22k-system low-end population; at reduced reproduction scale
@@ -387,9 +374,47 @@ func (ds *Dataset) finding6() Finding {
 	return f
 }
 
-// multipathClasses are the classes with a dual-path population — the
-// Figure 7 comparison set shared by finding7 and MultipathReductions.
-var multipathClasses = []fleet.SystemClass{fleet.MidRange, fleet.HighEnd}
+// MultipathClasses are the classes with a dual-path population — the
+// comparison set of Figure 7, Finding 7 and MultipathReductions.
+var MultipathClasses = []fleet.SystemClass{fleet.MidRange, fleet.HighEnd}
+
+func (ds *Dataset) pathPanels() [][]Breakdown {
+	panels := make([][]Breakdown, len(MultipathClasses))
+	for i, class := range MultipathClasses {
+		panels[i] = ds.AFRByPathConfig(class, noFamilyH)
+	}
+	return panels
+}
+
+// pathPair returns a Figure 7 panel's single-path and dual-path bars;
+// ok is false unless the panel has both and the single-path group
+// failed at all.
+func pathPair(panel []Breakdown) (single, dual Breakdown, ok bool) {
+	single, okS := lookup(panel, "Single Path")
+	dual, okD := lookup(panel, "Dual Paths")
+	return single, dual, okS && okD && single.TotalAFR() != 0
+}
+
+// PathReductions returns the fractional subsystem and physical
+// interconnect AFR reductions, 1 − dual/single, from a single-path to
+// a dual-path group.
+func PathReductions(single, dual Breakdown) (totalRed, piRed float64) {
+	return 1 - dual.TotalAFR()/single.TotalAFR(),
+		1 - dual.AFR[failmodel.PhysicalInterconnect]/single.AFR[failmodel.PhysicalInterconnect]
+}
+
+func multipathReductions(panels [][]Breakdown) (totalRed, piRed float64) {
+	for _, panel := range panels {
+		single, dual, ok := pathPair(panel)
+		if !ok || single.AFR[failmodel.PhysicalInterconnect] == 0 {
+			return math.NaN(), math.NaN()
+		}
+		t, p := PathReductions(single, dual)
+		totalRed += t
+		piRed += p
+	}
+	return totalRed / float64(len(panels)), piRed / float64(len(panels))
+}
 
 // MultipathReductions is Finding 7's effect size — the statistic
 // behind the sweep's multipath_total_reduction / multipath_pi_reduction
@@ -400,40 +425,27 @@ var multipathClasses = []fleet.SystemClass{fleet.MidRange, fleet.HighEnd}
 // unless every class contributes both path configurations with
 // nonzero single-path rates.
 func (ds *Dataset) MultipathReductions() (totalRed, piRed float64) {
-	sumTotal, sumPI, n := 0.0, 0.0, 0
-	for _, class := range multipathClasses {
-		idx := breakdownIndex(ds.AFRByPathConfig(class, Filter{ExcludeFamily: fleet.ProblemFamily}))
-		single, okS := idx["Single Path"]
-		dual, okD := idx["Dual Paths"]
-		if !okS || !okD || single.TotalAFR() == 0 || single.AFR[failmodel.PhysicalInterconnect] == 0 {
-			return math.NaN(), math.NaN()
-		}
-		sumTotal += 1 - dual.TotalAFR()/single.TotalAFR()
-		sumPI += 1 - dual.AFR[failmodel.PhysicalInterconnect]/single.AFR[failmodel.PhysicalInterconnect]
-		n++
-	}
-	return sumTotal / float64(n), sumPI / float64(n)
+	return multipathReductions(ds.pathPanels())
+}
+
+// MultipathReductions is Dataset.MultipathReductions on the analysis.
+func (a *Analysis) MultipathReductions() (totalRed, piRed float64) {
+	return multipathReductions(a.PathPanels)
 }
 
 // Finding 7: dual-path subsystems see 30-40% lower AFR; physical
 // interconnect AFR drops 50-60%.
-func (ds *Dataset) finding7() Finding {
+func (a *Analysis) finding7() Finding {
 	f := Finding{ID: 7, Title: "Multipathing cuts subsystem AFR 30-40% (interconnect AFR 50-60%)"}
 	pass := true
 	detail := ""
-	for _, class := range multipathClasses {
-		// Family H excluded so the problematic family's elevated disk/
-		// protocol rates don't confound the path comparison.
-		bs := ds.AFRByPathConfig(class, Filter{ExcludeFamily: fleet.ProblemFamily})
-		idx := breakdownIndex(bs)
-		single, okS := idx["Single Path"]
-		dual, okD := idx["Dual Paths"]
-		if !okS || !okD || single.TotalAFR() == 0 {
+	for i, class := range MultipathClasses {
+		single, dual, ok := pathPair(a.PathPanels[i])
+		if !ok {
 			pass = false
 			continue
 		}
-		totalRed := 1 - dual.TotalAFR()/single.TotalAFR()
-		piRed := 1 - dual.AFR[failmodel.PhysicalInterconnect]/single.AFR[failmodel.PhysicalInterconnect]
+		totalRed, piRed := PathReductions(single, dual)
 		test := CompareAFR(single, dual, failmodel.PhysicalInterconnect)
 		detail += fmt.Sprintf("%s: subsystem -%.0f%%, interconnect -%.0f%% (%.1f%% conf); ",
 			class, totalRed*100, piRed*100, test.Confidence())
@@ -451,7 +463,7 @@ func (ds *Dataset) finding7() Finding {
 
 // Finding 8: interconnect/protocol/performance failures are much
 // burstier than disk failures; Gamma best fits disk failure gaps.
-func (ds *Dataset) finding8(shelf *GapAnalysis) Finding {
+func finding8(shelf *GapAnalysis) Finding {
 	f := Finding{ID: 8, Title: "Interconnect/protocol/performance failures far burstier than disk failures; Gamma best fits disk gaps"}
 	disk := shelf.FractionWithin(failmodel.DiskFailure, BurstThreshold)
 	pi := shelf.FractionWithin(failmodel.PhysicalInterconnect, BurstThreshold)
@@ -474,7 +486,7 @@ func (ds *Dataset) finding8(shelf *GapAnalysis) Finding {
 
 // Finding 9: RAID groups (spanning shelves) show lower temporal locality
 // than shelves.
-func (ds *Dataset) finding9(shelf, rg *GapAnalysis) Finding {
+func finding9(shelf, rg *GapAnalysis) Finding {
 	f := Finding{ID: 9, Title: "RAID-group failures less bursty than shelf failures"}
 	s := shelf.OverallFractionWithin(BurstThreshold)
 	g := rg.OverallFractionWithin(BurstThreshold)
@@ -485,7 +497,7 @@ func (ds *Dataset) finding9(shelf, rg *GapAnalysis) Finding {
 
 // Finding 10: RAID-group failures still exhibit strong temporal
 // locality.
-func (ds *Dataset) finding10(rg *GapAnalysis) Finding {
+func finding10(rg *GapAnalysis) Finding {
 	f := Finding{ID: 10, Title: "RAID-group failures still strongly bursty"}
 	g := rg.OverallFractionWithin(BurstThreshold)
 	f.Pass = g >= 0.15
@@ -495,23 +507,25 @@ func (ds *Dataset) finding10(rg *GapAnalysis) Finding {
 
 // Finding 11: every failure type is self-correlated: empirical P(2) far
 // above the independence prediction, in shelves and RAID groups.
-func (ds *Dataset) finding11() Finding {
+func (a *Analysis) finding11() Finding {
 	f := Finding{ID: 11, Title: "Failures are not independent: empirical P(2) >> theoretical P(1)^2/2"}
 	pass := true
 	detail := ""
-	for _, scope := range []Scope{ByShelf, ByRAIDGroup} {
-		results := ds.Correlation(scope, CorrelationOptions{})
+	judged := 0
+	rg := a.ds.Correlation(ByRAIDGroup, CorrelationOptions{})
+	for _, results := range [][]CorrelationResult{a.ShelfCorrelation, rg} {
 		for _, r := range results {
 			if r.CountP1 < 10 {
 				continue // not enough mass to judge
 			}
-			detail += fmt.Sprintf("%s/%s: %.1fx; ", scope, r.Type.Short(), r.Ratio)
+			judged++
+			detail += fmt.Sprintf("%s/%s: %.1fx; ", r.Scope, r.Type.Short(), r.Ratio)
 			if math.IsNaN(r.Ratio) || r.Ratio <= 2 || !r.Dependent(0.995) {
 				pass = false
 			}
 		}
 	}
-	f.Pass = pass
+	f.Pass = pass && judged > 0
 	f.Detail = detail
 	return f
 }

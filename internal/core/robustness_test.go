@@ -51,8 +51,11 @@ func TestAnalysesOnEmptyDataset(t *testing.T) {
 		}
 	}
 
+	// No data, no verdict: a finding must not pass vacuously.
 	for _, fd := range ds.EvaluateFindings() {
-		_ = fd // must simply not panic
+		if fd.Pass {
+			t.Errorf("finding %d passes on an empty dataset (detail %q)", fd.ID, fd.Detail)
+		}
 	}
 	if ds.DetectionLagBound() != 0 {
 		t.Error("no events, no lag")

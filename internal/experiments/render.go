@@ -109,7 +109,7 @@ func (env *Env) Fig6(w io.Writer) {
 	fmt.Fprintln(w, "Figure 6: AFR by shelf enclosure model (low-end), same disk model")
 	fmt.Fprintln(w, "Error bars: 99.5% CI on physical interconnect AFR; significance via rate test")
 	fmt.Fprintln(w)
-	for _, m := range []fleet.DiskModel{fleet.DiskA2, fleet.DiskA3, fleet.DiskD2, fleet.DiskD3} {
+	for _, m := range core.ShelfCompareModels {
 		bs := env.Dataset.AFRByShelfModel(fleet.LowEnd, m, core.Filter{})
 		if len(bs) < 2 {
 			continue
@@ -133,7 +133,7 @@ func (env *Env) Fig6(w io.Writer) {
 // high-end systems (paper Figure 7 a/b), alongside the multipath model's
 // analytic prediction.
 func (env *Env) Fig7(w io.Writer) {
-	for _, class := range []fleet.SystemClass{fleet.MidRange, fleet.HighEnd} {
+	for _, class := range core.MultipathClasses {
 		bs := env.Dataset.AFRByPathConfig(class, core.Filter{ExcludeFamily: fleet.ProblemFamily})
 		if len(bs) < 2 {
 			continue
@@ -143,8 +143,7 @@ func (env *Env) Fig7(w io.Writer) {
 		ciS := single.CI(failmodel.PhysicalInterconnect, 0.999)
 		ciD := dual.CI(failmodel.PhysicalInterconnect, 0.999)
 		test := core.CompareAFR(single, dual, failmodel.PhysicalInterconnect)
-		piRed := 1 - dual.AFR[failmodel.PhysicalInterconnect]/single.AFR[failmodel.PhysicalInterconnect]
-		totRed := 1 - dual.TotalAFR()/single.TotalAFR()
+		totRed, piRed := core.PathReductions(single, dual)
 		mix := env.Params.PICauseWeights[class]
 		fmt.Fprintf(w, "  interconnect AFR %.2f±%.2f%% -> %.2f±%.2f%%: -%.0f%% (conf %.1f%%); subsystem AFR -%.0f%%\n",
 			ciS.Center*100, ciS.HalfWidth()*100, ciD.Center*100, ciD.HalfWidth()*100,

@@ -41,13 +41,23 @@ func TestBuildDeterministic(t *testing.T) {
 
 func TestBuildPopulationShape(t *testing.T) {
 	f := buildSmall(t)
-	stats := f.PopulationStats()
-	if len(stats) != 4 {
-		t.Fatalf("want 4 classes, got %d", len(stats))
+	// Per-class population, counting disks ever installed as Table 1
+	// does.
+	type population struct{ systems, shelves, disks, dualPath int }
+	byClass := map[SystemClass]*population{}
+	for _, c := range Classes {
+		byClass[c] = &population{}
 	}
-	byClass := map[SystemClass]Stats{}
-	for _, s := range stats {
-		byClass[s.Class] = s
+	for _, s := range f.Systems {
+		pop := byClass[s.Class]
+		pop.systems++
+		pop.shelves += len(s.Shelves)
+		if s.Paths == DualPath {
+			pop.dualPath++
+		}
+	}
+	for _, d := range f.Disks {
+		byClass[f.Systems[d.System].Class].disks++
 	}
 	// Scaled Table 1 counts (2% of the paper's population, +-25%).
 	expect := map[SystemClass]struct{ systems, shelves, disks int }{
@@ -58,22 +68,22 @@ func TestBuildPopulationShape(t *testing.T) {
 	}
 	for class, want := range expect {
 		got := byClass[class]
-		if math.Abs(float64(got.Systems-want.systems))/float64(want.systems) > 0.25 {
-			t.Errorf("%s: %d systems, want ~%d", class, got.Systems, want.systems)
+		if math.Abs(float64(got.systems-want.systems))/float64(want.systems) > 0.25 {
+			t.Errorf("%s: %d systems, want ~%d", class, got.systems, want.systems)
 		}
-		if math.Abs(float64(got.Shelves-want.shelves))/float64(want.shelves) > 0.25 {
-			t.Errorf("%s: %d shelves, want ~%d", class, got.Shelves, want.shelves)
+		if math.Abs(float64(got.shelves-want.shelves))/float64(want.shelves) > 0.25 {
+			t.Errorf("%s: %d shelves, want ~%d", class, got.shelves, want.shelves)
 		}
-		if math.Abs(float64(got.Disks-want.disks))/float64(want.disks) > 0.25 {
-			t.Errorf("%s: %d disks, want ~%d", class, got.Disks, want.disks)
+		if math.Abs(float64(got.disks-want.disks))/float64(want.disks) > 0.25 {
+			t.Errorf("%s: %d disks, want ~%d", class, got.disks, want.disks)
 		}
 	}
 	// Only mid-range and high-end deploy dual paths, roughly 1/3.
-	if byClass[NearLine].DualPath != 0 || byClass[LowEnd].DualPath != 0 {
+	if byClass[NearLine].dualPath != 0 || byClass[LowEnd].dualPath != 0 {
 		t.Error("near-line/low-end must be single-path")
 	}
 	for _, class := range []SystemClass{MidRange, HighEnd} {
-		frac := float64(byClass[class].DualPath) / float64(byClass[class].Systems)
+		frac := float64(byClass[class].dualPath) / float64(byClass[class].systems)
 		if frac < 0.2 || frac > 0.5 {
 			t.Errorf("%s: dual-path fraction %g, want ~1/3", class, frac)
 		}
@@ -124,7 +134,7 @@ func TestTopologyInvariants(t *testing.T) {
 		if len(sys.Shelves) == 0 {
 			t.Fatalf("system %d has no shelves", sys.ID)
 		}
-		if sys.DiskModel.IsZero() {
+		if sys.DiskModel.Family == "" {
 			t.Fatalf("system %d has no disk model", sys.ID)
 		}
 	}
@@ -192,9 +202,13 @@ func TestSingleShelfSpanAblation(t *testing.T) {
 func TestInstallWindows(t *testing.T) {
 	f := buildSmall(t)
 	span := float64(simtime.StudyDuration)
+	profileByClass := map[SystemClass]ClassProfile{}
+	for _, p := range DefaultProfiles() {
+		profileByClass[p.Class] = p
+	}
 	for _, sys := range f.Systems {
 		frac := float64(sys.Install) / span
-		p := ProfileFor(sys.Class)
+		p := profileByClass[sys.Class]
 		if frac < p.InstallWindow.Start-1e-9 || frac > p.InstallWindow.End+1e-9 {
 			t.Fatalf("%s system installed at fraction %g outside window [%g, %g]",
 				sys.Class, frac, p.InstallWindow.Start, p.InstallWindow.End)
@@ -305,28 +319,6 @@ func TestDiskYearsAndCounts(t *testing.T) {
 	fc := f.DiskYears(func(d *Disk) bool { return d.Model.Type == FC })
 	if math.Abs(sata+fc-all) > 1e-6 {
 		t.Error("SATA + FC disk-years must sum to the total")
-	}
-	if f.CountDisks(nil) != len(f.Disks) {
-		t.Error("nil filter should count everything")
-	}
-	if n := f.CountDisks(func(d *Disk) bool { return false }); n != 0 {
-		t.Error("empty filter should count nothing")
-	}
-}
-
-func TestSystemsOfClass(t *testing.T) {
-	f := buildSmall(t)
-	total := 0
-	for _, c := range Classes {
-		for _, sys := range f.SystemsOfClass(c) {
-			if sys.Class != c {
-				t.Fatal("SystemsOfClass returned wrong class")
-			}
-			total++
-		}
-	}
-	if total != len(f.Systems) {
-		t.Error("classes must partition the fleet")
 	}
 }
 

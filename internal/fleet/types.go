@@ -131,9 +131,6 @@ type DiskModel struct {
 
 func (m DiskModel) String() string { return fmt.Sprintf("%s-%d", m.Family, m.Capacity) }
 
-// IsZero reports whether the model is the zero value.
-func (m DiskModel) IsZero() bool { return m.Family == "" }
-
 // ShelfModel identifies a shelf enclosure product ("A", "B", "C"). All
 // studied shelf models host at most 14 disks.
 type ShelfModel string
@@ -380,69 +377,4 @@ func (f *Fleet) DiskYears(filter func(*Disk) bool) float64 {
 		}
 	}
 	return total
-}
-
-// CountDisks returns the number of disks ever installed that match the
-// filter; a nil filter counts the whole fleet.
-func (f *Fleet) CountDisks(filter func(*Disk) bool) int {
-	if filter == nil {
-		return len(f.Disks)
-	}
-	n := 0
-	for _, d := range f.Disks {
-		if filter(d) {
-			n++
-		}
-	}
-	return n
-}
-
-// SystemsOfClass returns the systems in the given class.
-func (f *Fleet) SystemsOfClass(c SystemClass) []*System {
-	var out []*System
-	for _, s := range f.Systems {
-		if s.Class == c {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Stats summarizes the fleet population per class — the row structure of
-// the paper's Table 1.
-type Stats struct {
-	Class     SystemClass
-	Systems   int
-	Shelves   int
-	Disks     int // ever installed, matching the paper's convention
-	Groups    int
-	DualPath  int // systems configured with dual paths
-	DiskYears float64
-}
-
-// PopulationStats returns per-class population summaries in class order.
-func (f *Fleet) PopulationStats() []Stats {
-	byClass := make(map[SystemClass]*Stats)
-	for _, c := range Classes {
-		byClass[c] = &Stats{Class: c}
-	}
-	for _, s := range f.Systems {
-		st := byClass[s.Class]
-		st.Systems++
-		st.Shelves += len(s.Shelves)
-		st.Groups += len(s.RAIDGroups)
-		if s.Paths == DualPath {
-			st.DualPath++
-		}
-	}
-	for _, d := range f.Disks {
-		st := byClass[f.Systems[d.System].Class]
-		st.Disks++
-		st.DiskYears += d.ResidencyYears()
-	}
-	out := make([]Stats, 0, len(Classes))
-	for _, c := range Classes {
-		out = append(out, *byClass[c])
-	}
-	return out
 }

@@ -27,13 +27,6 @@ func PredictedPIReduction(mix failmodel.CauseMix) float64 {
 	return mix.RecoverableFraction()
 }
 
-// PredictedSubsystemReduction returns the expected fractional reduction
-// of total subsystem AFR: the PI reduction scaled by the interconnect
-// share of all failures.
-func PredictedSubsystemReduction(mix failmodel.CauseMix, piShare float64) float64 {
-	return PredictedPIReduction(mix) * piShare
-}
-
 // IdealizedDualPathAFR is the naive "both independent networks fail"
 // estimate the paper quotes ("given that the probability for one network
 // to fail is about 2%, the idealized probability for two networks to
@@ -115,18 +108,6 @@ func SimulateOverlap(ratePerYear float64, repairMedian simtime.Seconds, horizonY
 	}
 	res.DowntimeYears = simtime.Years(doubleDown)
 	return res
-}
-
-// Exposure classifies an interconnect fault's visibility for a given
-// path count: with one path every fault is visible; with two paths only
-// non-recoverable causes surface (plus overlapping outages, which the
-// event-level simulator does not model separately because their
-// contribution is bounded by SimulateOverlap's measurement).
-func Exposure(paths int, cause failmodel.Cause) bool {
-	if paths >= 2 && cause.PathRecoverable() {
-		return false
-	}
-	return true
 }
 
 func maxSeconds(a, b simtime.Seconds) simtime.Seconds {

@@ -298,12 +298,3 @@ var Findings = []Finding{
 		},
 	},
 }
-
-// Targets counts the numeric targets across all findings.
-func Targets() int {
-	n := 0
-	for _, f := range Findings {
-		n += len(f.Targets)
-	}
-	return n
-}

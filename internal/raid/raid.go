@@ -75,16 +75,6 @@ func (r ReplayResult) LossRatePerGroupYear() float64 {
 	return float64(len(r.Losses)) / r.GroupYears
 }
 
-// MTTDLYears returns the observed mean time to data loss in group-years
-// (infinite if no losses were observed).
-func (r ReplayResult) MTTDLYears() float64 {
-	rate := r.LossRatePerGroupYear()
-	if rate == 0 {
-		return math.Inf(1)
-	}
-	return 1 / rate
-}
-
 func (r ReplayResult) String() string {
 	return fmt.Sprintf("raid.ReplayResult{groups: %d, group-years: %.0f, losses: %d, double-degraded: %d}",
 		r.Groups, r.GroupYears, len(r.Losses), r.DoubleEvents)

@@ -162,9 +162,6 @@ func TestReplayGroupYears(t *testing.T) {
 	if res.LossRatePerGroupYear() != 0 {
 		t.Error("no events, no losses")
 	}
-	if !math.IsInf(res.MTTDLYears(), 1) {
-		t.Error("no losses -> infinite MTTDL")
-	}
 }
 
 func TestCorrelatedStreamLosesMoreThanIndependent(t *testing.T) {

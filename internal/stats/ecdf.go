@@ -135,13 +135,14 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// CoefficientOfVariation returns stddev/mean, the paper's informal
-// burstiness scale (exponential gaps have CV = 1; bursty processes have
-// CV >> 1). Returns NaN for an empty or zero-mean sample.
-func CoefficientOfVariation(xs []float64) float64 {
-	s := Summarize(xs)
-	if s.N < 2 || s.Mean == 0 {
+// Mean returns the sample mean (NaN when empty).
+func Mean(xs []float64) float64 {
+	if len(xs) == 0 {
 		return math.NaN()
 	}
-	return s.StdDev / s.Mean
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
 }

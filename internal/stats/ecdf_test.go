@@ -118,50 +118,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestCoefficientOfVariation(t *testing.T) {
-	// Exponential data has CV ~ 1.
-	xs := sample(NewExponential(2), 50000, 6)
-	cv := CoefficientOfVariation(xs)
-	if math.Abs(cv-1) > 0.05 {
-		t.Errorf("exponential CV = %g, want ~1", cv)
-	}
-	if !math.IsNaN(CoefficientOfVariation([]float64{5})) {
-		t.Error("single observation: CV should be NaN")
-	}
-}
-
-func TestBootstrapMeanCI(t *testing.T) {
-	r := NewRNG(13)
-	xs := make([]float64, 400)
-	for i := range xs {
-		xs[i] = r.Normal(10, 3)
-	}
-	iv := Bootstrap(xs, Mean, 1000, 0.95, NewRNG(14))
-	if !iv.Contains(10) {
-		t.Errorf("bootstrap CI [%g, %g] should contain the true mean 10", iv.Lower, iv.Upper)
-	}
-	// Expected width ~ 2*1.96*3/sqrt(400) = 0.59.
-	if w := iv.Upper - iv.Lower; w < 0.3 || w > 1.2 {
-		t.Errorf("bootstrap CI width %g implausible", w)
-	}
-}
-
-func TestBootstrapDegenerate(t *testing.T) {
-	iv := Bootstrap(nil, Mean, 100, 0.95, NewRNG(1))
-	if !math.IsNaN(iv.Center) {
-		t.Error("empty sample should produce NaN")
-	}
-}
-
-func TestFractionBelow(t *testing.T) {
-	f := FractionBelow(10)
-	got := f([]float64{1, 5, 10, 15})
-	approx(t, "fraction below", got, 0.5, 1e-12)
-	if !math.IsNaN(f(nil)) {
-		t.Error("empty input should be NaN")
-	}
-}
-
 func TestPercentileInterpolation(t *testing.T) {
 	sorted := []float64{1, 2, 3, 4, 5}
 	sort.Float64s(sorted)

@@ -158,3 +158,26 @@ func (r *Reservoir) Quantile(p float64) float64 {
 	sort.Float64s(r.sorted)
 	return percentile(r.sorted, p)
 }
+
+// percentile returns the p-th percentile (0..1) of a sorted sample using
+// nearest-rank interpolation.
+func percentile(sorted []float64, p float64) float64 {
+	n := len(sorted)
+	if n == 0 {
+		return math.NaN()
+	}
+	if p <= 0 {
+		return sorted[0]
+	}
+	if p >= 1 {
+		return sorted[n-1]
+	}
+	rank := p * float64(n-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}

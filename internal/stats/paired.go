@@ -58,22 +58,6 @@ func (p *PairedOnline) StdDev() float64 { return p.delta.StdDev() }
 // reports per contrast.
 func (p *PairedOnline) MeanCI(level float64) Interval { return p.delta.MeanCI(level) }
 
-// MeanX returns the sample mean of the first leg (NaN when empty).
-func (p *PairedOnline) MeanX() float64 {
-	if p.delta.N() == 0 {
-		return math.NaN()
-	}
-	return p.mx
-}
-
-// MeanY returns the sample mean of the second leg (NaN when empty).
-func (p *PairedOnline) MeanY() float64 {
-	if p.delta.N() == 0 {
-		return math.NaN()
-	}
-	return p.my
-}
-
 // Corr returns the sample Pearson correlation between the two legs —
 // near +1 when common random numbers couple the scenarios tightly
 // (most noise cancelled), near 0 when the pairing bought nothing. NaN

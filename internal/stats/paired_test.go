@@ -53,15 +53,9 @@ func TestPairedOnlineLegsAndCorr(t *testing.T) {
 	if got := neg.Corr(); math.Abs(got+1) > 1e-12 {
 		t.Errorf("Corr on y=-5x+1: %v, want -1", got)
 	}
-	if got := pos.MeanX(); math.Abs(got-25.5) > 1e-12 {
-		t.Errorf("MeanX = %v, want 25.5", got)
-	}
-	if got := pos.MeanY(); math.Abs(got-54) > 1e-12 {
-		t.Errorf("MeanY = %v, want 54", got)
-	}
 
 	var empty PairedOnline
-	if !math.IsNaN(empty.Mean()) || !math.IsNaN(empty.MeanX()) || !math.IsNaN(empty.MeanY()) || !math.IsNaN(empty.Corr()) {
+	if !math.IsNaN(empty.Mean()) || !math.IsNaN(empty.Corr()) {
 		t.Error("empty accumulator must report NaN everywhere")
 	}
 	var one PairedOnline

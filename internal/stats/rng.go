@@ -2,7 +2,7 @@
 // storagesubsys reproduction: deterministic random number streams,
 // probability distributions with analytic forms and samplers, maximum
 // likelihood fitting, empirical CDFs, goodness-of-fit and hypothesis
-// tests, confidence intervals, and bootstrap resampling.
+// tests, confidence intervals, and streaming aggregators.
 //
 // Everything in this package is deterministic given an RNG seed, which is
 // what makes fleet simulations reproducible: a (profile, seed) pair fully
@@ -291,18 +291,6 @@ func (r *RNG) Poisson(mean float64) int {
 		n = 0
 	}
 	return n
-}
-
-// Geometric returns the number of failures before the first success for
-// trials with success probability p; support {0, 1, 2, ...}.
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("stats: Geometric requires 0 < p <= 1")
-	}
-	if p == 1 {
-		return 0
-	}
-	return int(math.Log(r.openFloat64()) / math.Log(1-p))
 }
 
 // Zipf-like categorical draw: Categorical returns index i with

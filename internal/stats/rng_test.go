@@ -242,24 +242,6 @@ func TestPoissonMoments(t *testing.T) {
 	}
 }
 
-func TestGeometricMoments(t *testing.T) {
-	r := NewRNG(3)
-	for _, p := range []float64{0.2, 0.5, 0.9} {
-		const n = 100000
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			sum += float64(r.Geometric(p))
-		}
-		want := (1 - p) / p
-		if got := sum / n; math.Abs(got-want) > 0.05*math.Max(want, 0.2) {
-			t.Errorf("Geometric(%g): mean %g, want %g", p, got, want)
-		}
-	}
-	if r.Geometric(1) != 0 {
-		t.Error("Geometric(1) must be 0")
-	}
-}
-
 func TestCategoricalWeights(t *testing.T) {
 	r := NewRNG(4)
 	weights := []float64{1, 2, 7}
@@ -298,7 +280,6 @@ func TestSamplerPanics(t *testing.T) {
 		func() { r.Gamma(0, 1) },
 		func() { r.Weibull(1, -1) },
 		func() { r.Poisson(-1) },
-		func() { r.Geometric(0) },
 	}
 	for i, fn := range cases {
 		func() {

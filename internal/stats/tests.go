@@ -36,59 +36,6 @@ func (t TTestResult) Confidence() float64 {
 	return 0
 }
 
-// WelchTTest performs a two-sided two-sample t-test with unequal
-// variances (Welch). It returns a zero-value result with P = 1 when
-// either sample is too small to test.
-func WelchTTest(a, b []float64) TTestResult {
-	sa, sb := Summarize(a), Summarize(b)
-	res := TTestResult{MeanA: sa.Mean, MeanB: sb.Mean, Difference: sa.Mean - sb.Mean, P: 1}
-	if sa.N < 2 || sb.N < 2 {
-		return res
-	}
-	va := sa.Variance / float64(sa.N)
-	vb := sb.Variance / float64(sb.N)
-	if va+vb == 0 {
-		if res.Difference != 0 {
-			res.T = math.Inf(sign(res.Difference))
-			res.P = 0
-		}
-		return res
-	}
-	res.T = res.Difference / math.Sqrt(va+vb)
-	num := (va + vb) * (va + vb)
-	den := va*va/float64(sa.N-1) + vb*vb/float64(sb.N-1)
-	res.DF = num / den
-	res.P = 2 * studentTSF(math.Abs(res.T), res.DF)
-	return res
-}
-
-// TwoProportionTest compares two Bernoulli proportions (successesA/nA vs
-// successesB/nB) using the pooled z-test; it is the appropriate test for
-// comparing observed failure fractions between two populations of
-// shelves or storage subsystems.
-func TwoProportionTest(successesA, nA, successesB, nB int) TTestResult {
-	res := TTestResult{P: 1}
-	if nA == 0 || nB == 0 {
-		return res
-	}
-	pa := float64(successesA) / float64(nA)
-	pb := float64(successesB) / float64(nB)
-	res.MeanA, res.MeanB, res.Difference = pa, pb, pa-pb
-	pool := float64(successesA+successesB) / float64(nA+nB)
-	se := math.Sqrt(pool * (1 - pool) * (1/float64(nA) + 1/float64(nB)))
-	if se == 0 {
-		if res.Difference != 0 {
-			res.T = math.Inf(sign(res.Difference))
-			res.P = 0
-		}
-		return res
-	}
-	res.T = res.Difference / se
-	res.DF = math.Inf(1) // normal reference
-	res.P = 2 * (1 - NormalCDF(math.Abs(res.T)))
-	return res
-}
-
 // PoissonRateTest compares two event rates (eventsA over exposureA
 // disk-years vs eventsB over exposureB) with the standard normal
 // approximation on the log-rate difference. This is the natural test for
@@ -180,11 +127,6 @@ func (iv Interval) HalfWidth() float64 {
 // Contains reports whether x lies inside the interval.
 func (iv Interval) Contains(x float64) bool {
 	return x >= iv.Lower && x <= iv.Upper
-}
-
-// Overlaps reports whether two intervals intersect.
-func (iv Interval) Overlaps(other Interval) bool {
-	return iv.Lower <= other.Upper && other.Lower <= iv.Upper
 }
 
 // PoissonRateCI returns a normal-approximation confidence interval for an
@@ -289,20 +231,4 @@ func ChiSquareGOF(xs []float64, dist Distribution, bins int) GOFResult {
 	res.DF = df
 	res.P = GammaIncQ(float64(df)/2, chi2/2)
 	return res
-}
-
-// ChiSquareCDF returns P(X <= x) for a chi-square distribution with k
-// degrees of freedom.
-func ChiSquareCDF(x float64, k int) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return GammaIncP(float64(k)/2, x/2)
-}
-
-func sign(x float64) int {
-	if x < 0 {
-		return -1
-	}
-	return 1
 }

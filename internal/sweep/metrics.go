@@ -25,9 +25,10 @@ type MetricDef struct {
 // aggregators are indexed the same way. Appending to this list is
 // backward compatible; reordering changes every vector.
 //
-// Each entry below documents what the statistic measures, how
-// trialVector computes it, and which paper table or figure it
-// confronts. Units: *_share_* and burst_* metrics are fractions in
+// Each entry below documents what the statistic measures, which core
+// definition computes it, and which paper table or figure it
+// confronts; trialVector reads every entry from one core.Analysis per
+// trial. Units: *_share_* and burst_* metrics are fractions in
 // [0, 1]; *_afr_* metrics are annualized failure rates per disk-year
 // (multiply by 100 for the percentages the paper plots); *_ratio,
 // corr_* and *_delta metrics are dimensionless ratios; the rest are
@@ -72,7 +73,8 @@ var Metrics = []MetricDef{
 	{"disk_afr_lowend", "Finding 2: enterprise FC disk AFR < 0.9%"},
 	// family_h_afr_ratio divides the subsystem AFR of systems deploying
 	// the problematic disk family H by the other families', within the
-	// classes that deploy H — Finding 3's ~2x elevation (Figure 5).
+	// classes that deploy H (core.Analysis.FamilyHAFRRatio) — Finding
+	// 3's ~2x elevation (Figure 5).
 	{"family_h_afr_ratio", "Finding 3: family H doubles subsystem AFR (~2x)"},
 	// burst_shelf_overall / burst_rg_overall are the fraction of
 	// same-container failure gaps under the 10^4-second burst threshold,
@@ -96,8 +98,9 @@ var Metrics = []MetricDef{
 	{"corr_disk_shelf", "Figure 10(a): disk P(2) ~6x the independence prediction"},
 	{"corr_pi_shelf", "Figure 10(a): interconnect P(2) 10-25x independence"},
 	// findings_pass counts how many of the paper's Findings 1-11 the
-	// trial reproduces (core.EvaluateFindings); defined only when
-	// Config.Findings is set, NaN otherwise.
+	// trial reproduces (core.Analysis.Findings, the verdicts of
+	// core.EvaluateFindings derived from the same analysis); defined
+	// only when Config.Findings is set, NaN otherwise.
 	{"findings_pass", "11/11 findings reproduce (with -findings only)"},
 	// mined_dropped counts log records the AutoSupport mining pipeline
 	// could not resolve back into events — the reproduction's handle on
@@ -161,49 +164,36 @@ func trialVector(env *experiments.Env, findings bool, out []float64) []float64 {
 	}
 	out = append(out, float64(visible))
 
-	// Per-class AFR totals and failure-type shares, excluding the
-	// problematic disk family as the paper's Figure 4(b) does.
-	noH := core.Filter{ExcludeFamily: fleet.ProblemFamily}
-	byClass := make(map[string]core.Breakdown, len(fleet.Classes))
-	for _, b := range ds.AFRByClass(noH) {
-		byClass[b.Label] = b
+	a := ds.Analyze()
+	classStat := func(c fleet.SystemClass, f func(core.Breakdown) float64) float64 {
+		if b, ok := a.Class(c); ok && b.DiskYears != 0 {
+			return f(b)
+		}
+		return math.NaN()
 	}
-	classStat := func(f func(core.Breakdown) float64) {
+	for _, f := range []func(core.Breakdown) float64{
+		core.Breakdown.TotalAFR,
+		func(b core.Breakdown) float64 { return b.Share(failmodel.DiskFailure) },
+		func(b core.Breakdown) float64 { return b.Share(failmodel.PhysicalInterconnect) },
+	} {
 		for _, c := range fleet.Classes {
-			b, ok := byClass[c.String()]
-			if !ok || b.DiskYears == 0 {
-				out = append(out, math.NaN())
-				continue
-			}
-			out = append(out, f(b))
+			out = append(out, classStat(c, f))
 		}
 	}
-	classStat(func(b core.Breakdown) float64 { return b.TotalAFR() })
-	classStat(func(b core.Breakdown) float64 { return b.Share(failmodel.DiskFailure) })
-	classStat(func(b core.Breakdown) float64 { return b.Share(failmodel.PhysicalInterconnect) })
+	diskAFR := func(b core.Breakdown) float64 { return b.AFR[failmodel.DiskFailure] }
+	out = append(out, classStat(fleet.NearLine, diskAFR), classStat(fleet.LowEnd, diskAFR))
 
-	diskAFR := func(class fleet.SystemClass) float64 {
-		b, ok := byClass[class.String()]
-		if !ok || b.DiskYears == 0 {
-			return math.NaN()
-		}
-		return b.AFR[failmodel.DiskFailure]
-	}
-	out = append(out, diskAFR(fleet.NearLine), diskAFR(fleet.LowEnd))
+	out = append(out, a.FamilyHAFRRatio())
 
-	out = append(out, familyHRatio(ds))
-
-	shelfGaps := ds.Gaps(core.ByShelf, core.Filter{})
-	rgGaps := ds.Gaps(core.ByRAIDGroup, core.Filter{})
 	out = append(out,
-		shelfGaps.OverallFractionWithin(core.BurstThreshold),
-		rgGaps.OverallFractionWithin(core.BurstThreshold),
-		shelfGaps.FractionWithin(failmodel.DiskFailure, core.BurstThreshold),
-		shelfGaps.FractionWithin(failmodel.PhysicalInterconnect, core.BurstThreshold),
+		a.ShelfGaps.OverallFractionWithin(core.BurstThreshold),
+		a.RAIDGroupGaps.OverallFractionWithin(core.BurstThreshold),
+		a.ShelfGaps.FractionWithin(failmodel.DiskFailure, core.BurstThreshold),
+		a.ShelfGaps.FractionWithin(failmodel.PhysicalInterconnect, core.BurstThreshold),
 	)
 
 	corrDisk, corrPI := math.NaN(), math.NaN()
-	for _, r := range ds.Correlation(core.ByShelf, core.CorrelationOptions{}) {
+	for _, r := range a.ShelfCorrelation {
 		switch r.Type {
 		case failmodel.DiskFailure:
 			corrDisk = r.Ratio
@@ -215,7 +205,7 @@ func trialVector(env *experiments.Env, findings bool, out []float64) []float64 {
 
 	if findings {
 		pass := 0
-		for _, fd := range ds.EvaluateFindings() {
+		for _, fd := range a.Findings() {
 			if fd.Pass {
 				pass++
 			}
@@ -231,56 +221,16 @@ func trialVector(env *experiments.Env, findings bool, out []float64) []float64 {
 		out = append(out, math.NaN())
 	}
 
-	sp := ds.EnvAFRSpread()
-	if sp.Models == 0 {
-		out = append(out, math.NaN(), math.NaN())
-	} else {
-		out = append(out, sp.DiskRelStd, sp.SubsysRelStd)
-	}
+	// Each is NaN when undefined: no disk model spans two environments,
+	// or no capacity pair has enough exposure.
+	capRatio, _ := a.CapacityAFRMeanRatio()
+	out = append(out, a.Env.DiskRelStd, a.Env.SubsysRelStd, capRatio, a.ShelfModelPIDelta())
 
-	capRatio, capPairs := ds.CapacityAFRMeanRatio()
-	if capPairs == 0 {
-		out = append(out, math.NaN())
-	} else {
-		out = append(out, capRatio)
-	}
-
-	out = append(out, ds.ShelfModelPIDelta())
-
-	totalRed, piRed := ds.MultipathReductions()
+	totalRed, piRed := a.MultipathReductions()
 	out = append(out, totalRed, piRed)
 
 	if len(out) != len(Metrics) {
 		panic("sweep: trialVector length diverged from the Metrics registry")
 	}
 	return out
-}
-
-// familyHRatio reproduces Finding 3's comparison: within the classes
-// that deploy the problematic family, the family-H subsystem AFR over
-// the other families' (NaN when either population is missing).
-func familyHRatio(ds *core.Dataset) float64 {
-	bs := ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		if s.Class == fleet.NearLine {
-			return "", false
-		}
-		if s.DiskModel.Family == fleet.ProblemFamily {
-			return "H", true
-		}
-		return "other", true
-	}, core.Filter{})
-	var h, rest core.Breakdown
-	var okH, okRest bool
-	for _, b := range bs {
-		switch b.Label {
-		case "H":
-			h, okH = b, true
-		case "other":
-			rest, okRest = b, true
-		}
-	}
-	if !okH || !okRest || rest.TotalAFR() == 0 {
-		return math.NaN()
-	}
-	return h.TotalAFR() / rest.TotalAFR()
 }
