@@ -38,6 +38,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{"in-conflicts-workers", []string{"-in", "r.json", "-workers", "2"}, 1, "expreport: -workers conflicts with -in"},
 		{"in-missing-file", []string{"-in", "no-such-result.json"}, 1, "no-such-result.json"},
 		{"missing-grid-file", []string{"-grid-file", "no-such-spec.json"}, 1, "no-such-spec.json"},
+		{"antithetic-odd-trials", []string{"-grid-file", filepath.Join("..", "..", "examples", "scenarios", "variance.json"), "-trials", "3"}, 1,
+			`expreport: antithetic pairing needs an even trial count, got 3 (scenario "repair-lag-x4" resolves to variance antithetic)`},
 		{"unknown-flag", []string{"-bogus"}, 2, "flag provided but not defined"},
 		{"help", []string{"-h"}, 0, "Usage of expreport"},
 	}

@@ -1,7 +1,7 @@
 // End-to-end integration tests driving the actual command binaries:
-// fleetgen writes a raw AutoSupport archive to disk, analyze mines it
-// back, reproduce regenerates figures. These exercise the repository
-// exactly as a user would.
+// reproduce writes a raw AutoSupport archive to disk, mines it back, and
+// regenerates figures. These exercise the repository exactly as a user
+// would.
 package storagesubsys_test
 
 import (
@@ -35,18 +35,21 @@ func run(t *testing.T, bin string, args ...string) string {
 	return string(out)
 }
 
-func TestFleetgenAnalyzeRoundTrip(t *testing.T) {
+// TestArchiveRoundTrip writes the simulated history as an on-disk
+// archive and reads it back: the table mined from the log files must be
+// byte-identical to the direct run's, with every line parsed and every
+// failure resolved.
+func TestArchiveRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs binaries")
 	}
 	dir := t.TempDir()
-	fleetgen := buildCmd(t, dir, "fleetgen")
-	analyze := buildCmd(t, dir, "analyze")
+	reproduce := buildCmd(t, dir, "reproduce")
 
 	asup := filepath.Join(dir, "asup")
-	out := run(t, fleetgen, "-out", asup, "-scale", "0.005", "-seed", "42")
-	if !strings.Contains(out, "wrote") {
-		t.Fatalf("fleetgen output: %s", out)
+	direct := run(t, reproduce, "-scale", "0.005", "-seed", "42", "-write-logs", asup, "-exp", "table1")
+	if !strings.Contains(direct, "wrote") {
+		t.Fatalf("reproduce -write-logs output: %s", direct)
 	}
 	logs, err := filepath.Glob(filepath.Join(asup, "logs", "*.log"))
 	if err != nil || len(logs) == 0 {
@@ -57,24 +60,24 @@ func TestFleetgenAnalyzeRoundTrip(t *testing.T) {
 		t.Fatalf("%d snapshots for %d logs", len(snaps), len(logs))
 	}
 
-	// Mine the archive back with each analysis.
-	afr := run(t, analyze, "-logs", filepath.Join(asup, "logs"), "-scale", "0.005", "-seed", "42", "-exp", "afr")
-	if !strings.Contains(afr, "Near-line") || !strings.Contains(afr, "Interconnect") {
-		t.Errorf("analyze afr output:\n%s", afr)
+	mined := run(t, reproduce, "-scale", "0.005", "-seed", "42", "-read-logs", asup, "-exp", "table1")
+	if !strings.Contains(mined, "(0 malformed lines)") || !strings.Contains(mined, "(0 unresolved)") {
+		t.Errorf("archive mining lost lines or records:\n%s", mined)
 	}
-	if !strings.Contains(afr, "(0 unresolved)") {
-		t.Errorf("mining dropped records:\n%s", afr)
+	if tableTail(t, direct) != tableTail(t, mined) {
+		t.Errorf("direct vs archive table1 differ:\n%s\nvs\n%s", tableTail(t, direct), tableTail(t, mined))
 	}
-	gaps := run(t, analyze, "-logs", filepath.Join(asup, "logs"), "-scale", "0.005", "-seed", "42", "-exp", "gaps")
-	if !strings.Contains(gaps, "per shelf") || !strings.Contains(gaps, "per RAID group") {
-		t.Errorf("analyze gaps output:\n%s", gaps)
+}
+
+// tableTail returns a reproduce run's output from table1's "Overview"
+// heading on, dropping the run's preamble lines.
+func tableTail(t *testing.T, s string) string {
+	t.Helper()
+	idx := strings.Index(s, "Overview")
+	if idx < 0 {
+		t.Fatalf("no table in output:\n%s", s)
 	}
-	classify := run(t, analyze, "-logs", filepath.Join(asup, "logs"), "-scale", "0.005", "-seed", "42", "-exp", "classify")
-	for _, needle := range []string{"Disk Failure", "Physical Interconnect Failure", "Protocol Failure", "Performance Failure"} {
-		if !strings.Contains(classify, needle) {
-			t.Errorf("classify output missing %q:\n%s", needle, classify)
-		}
-	}
+	return s[idx:]
 }
 
 func TestReproduceCommand(t *testing.T) {
@@ -94,15 +97,8 @@ func TestReproduceCommand(t *testing.T) {
 	// The mined pipeline must produce the identical table1.
 	direct := run(t, reproduce, "-scale", "0.01", "-seed", "42", "-exp", "table1")
 	mined := run(t, reproduce, "-scale", "0.01", "-seed", "42", "-mine", "-exp", "table1")
-	tail := func(s string) string {
-		idx := strings.Index(s, "Overview")
-		if idx < 0 {
-			t.Fatalf("no table in output:\n%s", s)
-		}
-		return s[idx:]
-	}
-	if tail(direct) != tail(mined) {
-		t.Errorf("direct vs mined table1 differ:\n%s\nvs\n%s", tail(direct), tail(mined))
+	if tableTail(t, direct) != tableTail(t, mined) {
+		t.Errorf("direct vs mined table1 differ:\n%s\nvs\n%s", tableTail(t, direct), tableTail(t, mined))
 	}
 
 	// Bad flags exit non-zero.

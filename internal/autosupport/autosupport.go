@@ -50,13 +50,11 @@ type Snapshot struct {
 	Shelves    []SnapshotShelf `json:"shelves"`
 }
 
-// Bundle is one week of a system's support data: the log section plus
-// the configuration snapshot taken that week.
+// Bundle is one week of a system's support log.
 type Bundle struct {
 	SystemID int
 	Week     int
 	Messages []eventlog.Message
-	Snapshot Snapshot
 }
 
 // Database is the collected support data of a whole fleet, queryable by
@@ -81,9 +79,10 @@ func (db *Database) Systems() []int {
 }
 
 // Collect runs the support pipeline over a simulated failure history:
-// it renders every event's log chain (including recovered faults, whose
-// chains stop below the RAID layer) and buckets messages into weekly
-// per-system bundles, attaching the week's configuration snapshot.
+// it emits every event's log message chain (including recovered faults,
+// whose chains stop below the RAID layer) and buckets the messages into
+// weekly per-system bundles. Configuration snapshots are taken on demand
+// (TakeSnapshot); WriteArchive records each system's last one.
 func Collect(f *fleet.Fleet, events []failmodel.Event) *Database {
 	weekSeconds := 7 * simtime.SecondsPerDay
 	weeks := int(simtime.StudyDuration/weekSeconds) + 1
@@ -107,7 +106,6 @@ func Collect(f *fleet.Fleet, events []failmodel.Event) *Database {
 			SystemID: k.sys,
 			Week:     k.week,
 			Messages: msgs,
-			Snapshot: TakeSnapshot(f, k.sys, k.week),
 		})
 	}
 	for sys := range db.bundles {
@@ -152,11 +150,12 @@ func TakeSnapshot(f *fleet.Fleet, systemID, week int) Snapshot {
 }
 
 // MineEvents runs the paper's log-mining methodology over the whole
-// database: parse the raw messages, classify RAID-layer failure
-// signatures, and resolve them to fleet identities. The result is the
-// typed event stream the analyses consume, recovered entirely from log
-// text. It returns the events (sorted by detection time) and the number
-// of unresolvable records.
+// database: classify the collected messages' RAID-layer failure
+// signatures and resolve them to fleet identities. The messages are
+// used as collected, never rendered or parsed (ReadArchive mines the
+// text form). The result is the typed event stream the analyses
+// consume, recovered entirely from log records. It returns the events
+// (sorted by detection time) and the number of unresolvable records.
 func (db *Database) MineEvents() ([]failmodel.Event, int) {
 	rv := eventlog.NewResolver(db.fleet)
 	var events []failmodel.Event
@@ -169,12 +168,20 @@ func (db *Database) MineEvents() ([]failmodel.Event, int) {
 			dropped += d
 		}
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Time < events[j].Time })
+	sortByTime(events)
 	return events, dropped
 }
 
+// sortByTime orders mined events by detection time (a mined event's
+// Time is its detection).
+func sortByTime(events []failmodel.Event) {
+	sort.Slice(events, func(i, j int) bool { return events[i].Time < events[j].Time })
+}
+
 // RenderSystemLog renders a system's full raw log (all weeks) as text,
-// the artifact cmd/fleetgen writes to disk and cmd/analyze re-mines.
+// one Message.Render line per message: the file WriteArchive writes and
+// ReadArchive parses back. The in-memory mining path (MineEvents) never
+// renders; only the on-disk archive goes through text.
 func (db *Database) RenderSystemLog(systemID int) string {
 	var out []byte
 	for _, b := range db.bundles[systemID] {

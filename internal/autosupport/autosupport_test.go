@@ -1,6 +1,12 @@
 package autosupport
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -97,7 +103,7 @@ func TestSnapshotReflectsResidency(t *testing.T) {
 		bundles := db.Bundles(sysID)
 		first := bundles[0]
 		at := simtime.Seconds(first.Week+1) * 7 * simtime.SecondsPerDay
-		for _, shelf := range first.Snapshot.Shelves {
+		for _, shelf := range TakeSnapshot(f, sysID, first.Week).Shelves {
 			for _, sd := range shelf.Disks {
 				// Find the disk by serial and check residency.
 				found := false
@@ -165,5 +171,69 @@ func TestDatabaseString(t *testing.T) {
 	s := db.String()
 	if !strings.Contains(s, "autosupport.Database") || !strings.Contains(s, "weeks") {
 		t.Errorf("unexpected String(): %s", s)
+	}
+}
+
+func TestWriteReadArchive(t *testing.T) {
+	db, res := smallDB(t)
+	dir := t.TempDir()
+	written, err := db.WriteArchive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if written != len(db.Systems()) {
+		t.Fatalf("wrote %d systems, have %d", written, len(db.Systems()))
+	}
+	// Each snapshot is the system's configuration at its last logged week.
+	sysID := db.Systems()[0]
+	bundles := db.Bundles(sysID)
+	want, err := json.MarshalIndent(TakeSnapshot(res.Fleet, sysID, bundles[len(bundles)-1].Week), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "snapshots", fmt.Sprintf("system-%06d.json", sysID)))
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("snapshot of system %d: %v\n%s\nwant\n%s", sysID, err, got, want)
+	}
+
+	// Mining the files recovers exactly what mining the database does.
+	mined, _ := db.MineEvents()
+	events, st, err := ReadArchive(dir, res.Fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(events, mined) {
+		t.Fatalf("archive mined %d events, database %d, or they differ", len(events), len(mined))
+	}
+	if st.Files != written || st.Malformed != 0 || st.Unresolved != 0 || st.Failures != len(mined) {
+		t.Fatalf("stats %+v for %d files, %d mined events", st, written, len(mined))
+	}
+
+	// Hostile lines are counted and skipped; they change no event.
+	logPath := filepath.Join(dir, "logs", fmt.Sprintf("system-%06d.log", sysID))
+	file, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = file.WriteString("garbage\n" +
+		"Thu Mar  4 11:00:00.5 UTC 2004 [raid.rg.diskFailed:info]: Disk 8.16 S/N [X] failed; starting reconstruction.\n" +
+		"Thu Mar  4 11:00:00 UTC 2004 [raid.rg.diskFailed:info]: Disk 8.16 S/N [NO-SUCH-SERIAL] failed; starting reconstruction.\n")
+	if cerr := file.Close(); err != nil || cerr != nil {
+		t.Fatal(err, cerr)
+	}
+	events, hostile, err := ReadArchive(dir, res.Fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(events, mined) || hostile.Malformed != 2 || hostile.Unresolved != 1 || hostile.Failures != st.Failures+1 {
+		t.Fatalf("hostile lines: stats %+v (clean %+v), %d events", hostile, st, len(events))
+	}
+}
+
+func TestReadArchiveNeedsLogs(t *testing.T) {
+	_, res := smallDB(t)
+	dir := t.TempDir()
+	if _, _, err := ReadArchive(dir, res.Fleet); err == nil || !strings.Contains(err.Error(), "no logs/*.log files under") {
+		t.Fatalf("empty archive: err %v", err)
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 var cachedRun *sim.Result
 
-func smallRun(t *testing.T) *sim.Result {
+func smallRun(t testing.TB) *sim.Result {
 	t.Helper()
 	if cachedRun == nil {
 		f := fleet.BuildDefault(0.01, 21)
@@ -53,6 +53,8 @@ func TestParseLineMalformed(t *testing.T) {
 		"Sun Jul 23 05:43:36 UTC 2006 [missing.severity]: text",
 		"Sun Jul 23 05:43:36 UTC 2006 [tag:bogus]: text",
 		"not a timestamp [a.b:error]: text",
+		"Sun Jul 23 05:43:36.5 UTC 2006 [a.b:error]: fractional second",
+		"Sun Jul 23 05:43:36 GMT+3 2006 [a.b:error]: zone offset",
 	}
 	for _, line := range bad {
 		if _, err := ParseLine(line); err == nil {

@@ -30,9 +30,18 @@ func ParseLine(line string) (Message, error) {
 		return m, fmt.Errorf("%w: no tag close: %q", ErrMalformedLine, line)
 	}
 	close += open
-	ts, err := time.Parse(timeLayout, line[:open])
+	// Zone abbreviations resolve against UTC, never the machine's
+	// local zone, so a log decodes to the same instants everywhere.
+	ts, err := time.ParseInLocation(timeLayout, line[:open], time.UTC)
 	if err != nil {
 		return m, fmt.Errorf("%w: bad timestamp: %v", ErrMalformedLine, err)
+	}
+	// time.Parse also accepts a fractional second, and a GMT offset
+	// zone whose instant it does not shift; Render can reproduce
+	// neither, so such a line would not decode to the message it
+	// renders as.
+	if _, offset := ts.Zone(); ts.Nanosecond() != 0 || offset != 0 {
+		return m, fmt.Errorf("%w: timestamp %q has a fractional second or a zone offset", ErrMalformedLine, line[:open])
 	}
 	tagSev := line[open+2 : close]
 	colon := strings.LastIndex(tagSev, ":")

@@ -24,10 +24,13 @@ type Config struct {
 	Scale float64
 	// Seed determines the fleet and failure history.
 	Seed int64
-	// Mine runs the raw-log pipeline: events are recovered by parsing
-	// and classifying rendered log text instead of being taken from the
-	// simulator, exercising the paper's actual methodology end to end.
-	// Costs extra time and memory at large scales.
+	// Mine runs the log-mining pipeline: events are recovered by
+	// emitting each event's log messages, classifying the RAID-layer
+	// records and resolving their serials (autosupport.MineEvents)
+	// instead of being taken from the simulator. The messages stay in
+	// memory; no text is rendered or parsed — only an on-disk archive
+	// (autosupport.ReadArchive) goes through text. Costs extra time and
+	// memory at large scales.
 	Mine bool
 	// Params overrides the default generative calibration (nil = default).
 	Params *failmodel.Params

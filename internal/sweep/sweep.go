@@ -49,6 +49,7 @@ package sweep
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"sync"
@@ -85,9 +86,11 @@ type Scenario struct {
 	// SpanShelves overrides every class profile's RAID shelf span
 	// (0 = profile default; 1 = the Finding 9 single-shelf ablation).
 	SpanShelves int `json:"spanShelves,omitempty"`
-	// Mine routes events through the log rendering → parsing →
-	// classification pipeline instead of using simulator output
-	// directly (slower; adds the mined_dropped metric).
+	// Mine recovers events through the AutoSupport mining pipeline
+	// instead of using simulator output directly: each event's log
+	// messages are emitted, the RAID-layer records classified and
+	// their serials resolved, all in memory — no text is rendered or
+	// parsed (slower; adds the mined_dropped metric).
 	Mine bool `json:"mine,omitempty"`
 	// DiskAFRMult multiplies every disk model's AFR (0 = unchanged).
 	DiskAFRMult float64 `json:"diskAFRMult,omitempty"`
@@ -299,6 +302,28 @@ type Config struct {
 	// Returning a shared or stale fleet breaks the byte-identity
 	// contract. Must be safe for concurrent use.
 	FleetSource func(key FleetKey, seed int64, build func() *fleet.Fleet) *fleet.Fleet
+}
+
+// Validate checks the run parameters that only hold once a scenario
+// file and the caller's base settings combine: a positive trial count,
+// a base scale in (0, 1.5], and the even trial count antithetic
+// pairing needs. cmd/sweep, cmd/expreport and sweepd all judge the
+// resolved config with it, each prefixing the error with its own name.
+func (c Config) Validate() error {
+	if c.Trials < 1 {
+		return fmt.Errorf("trial count %d must be at least 1 (scenario file and base settings combined)", c.Trials)
+	}
+	if c.Scale <= 0 || c.Scale > 1.5 {
+		return fmt.Errorf("base scale %g must be in (0, 1.5] (scenario file and base settings combined)", c.Scale)
+	}
+	if c.Trials%2 != 0 {
+		for _, s := range c.Scenarios {
+			if s.EffVariance(c.Variance) == VarianceAntithetic {
+				return fmt.Errorf("antithetic pairing needs an even trial count, got %d (scenario %q resolves to variance antithetic)", c.Trials, s.Name)
+			}
+		}
+	}
+	return nil
 }
 
 // ErrKilled is returned by Execute when Hooks.KillAfterJob simulates
