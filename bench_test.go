@@ -323,6 +323,20 @@ func BenchmarkCorrelation(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyze measures one trial's shared analysis at 5% scale:
+// every AFR breakdown, both gap analyses and the shelf correlation, plus
+// the Findings 1-11 verdicts derived from them.
+func BenchmarkAnalyze(b *testing.B) {
+	ds := env(b).Dataset
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchFindings = ds.Analyze().Findings()
+	}
+}
+
+var benchFindings []core.Finding
+
 // BenchmarkFitGamma measures gamma MLE over a 10k-point sample.
 func BenchmarkFitGamma(b *testing.B) {
 	r := stats.NewRNG(1)

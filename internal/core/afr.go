@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"storagesubsys/internal/failmodel"
 	"storagesubsys/internal/fleet"
 	"storagesubsys/internal/stats"
@@ -19,10 +17,10 @@ type Breakdown struct {
 	// DiskYears is the exact exposure: the sum of per-disk residency.
 	DiskYears float64
 	// Events counts filtered failure events per type.
-	Events map[failmodel.FailureType]int
+	Events [failmodel.NumTypes]int
 	// AFR is Events/DiskYears per type (a fraction per disk-year; multiply
-	// by 100 for the percentages the paper plots).
-	AFR map[failmodel.FailureType]float64
+	// by 100 for the percentages the paper plots); zero without exposure.
+	AFR [failmodel.NumTypes]float64
 }
 
 // TotalEvents sums events across failure types.
@@ -34,16 +32,13 @@ func (b Breakdown) TotalEvents() int {
 	return total
 }
 
-// TotalAFR sums the per-type AFRs — the full bar height in Figure 4.
-// The sum iterates failure types in their fixed declaration order, not
-// map order: float addition is not associative, so ranging over the
-// map would make the low-order bits run-to-run nondeterministic (the
-// sweep engine compares trial metrics bit-for-bit and emits them at
-// full precision).
+// TotalAFR sums the per-type AFRs — the full bar height in Figure 4 —
+// in failure type order, which pins the low-order bits of the sum (the
+// sweep engine compares trial metrics bit-for-bit).
 func (b Breakdown) TotalAFR() float64 {
 	total := 0.0
-	for _, t := range failmodel.Types {
-		total += b.AFR[t]
+	for _, afr := range b.AFR {
+		total += afr
 	}
 	return total
 }
@@ -72,9 +67,8 @@ type GroupKey func(*fleet.System) (string, bool)
 // are returned sorted by label; group membership, exposure and event
 // attribution are all by owning system.
 func (ds *Dataset) AFRByGroup(key GroupKey, fl Filter) []Breakdown {
-	groupOf := make(map[int]string, len(ds.Fleet.Systems)) // system ID -> label
-	byLabel := make(map[string]*Breakdown)
-
+	g := newGrouping(groupSpec{}, fl, len(ds.Fleet.Systems))
+	ids := make(map[string]int32)
 	for _, s := range ds.Fleet.Systems {
 		if !fl.admitsSystem(s) {
 			continue
@@ -83,108 +77,41 @@ func (ds *Dataset) AFRByGroup(key GroupKey, fl Filter) []Breakdown {
 		if !ok {
 			continue
 		}
-		groupOf[s.ID] = label
-		b := byLabel[label]
-		if b == nil {
-			b = &Breakdown{Label: label, Events: make(map[failmodel.FailureType]int), AFR: make(map[failmodel.FailureType]float64)}
-			byLabel[label] = b
+		id, seen := ids[label]
+		if !seen {
+			id = g.newGroup(label)
+			ids[label] = id
 		}
-		b.Systems++
-		b.Shelves += len(s.Shelves)
-		b.Groups += len(s.RAIDGroups)
+		g.add(s, id)
 	}
-
-	for _, d := range ds.Fleet.Disks {
-		label, ok := groupOf[d.System]
-		if !ok {
-			continue
-		}
-		b := byLabel[label]
-		b.Disks++
-		b.DiskYears += d.ResidencyYears()
-	}
-
-	for _, e := range ds.Events {
-		label, ok := groupOf[e.System]
-		if !ok || !fl.admitsEvent(e) {
-			continue
-		}
-		byLabel[label].Events[e.Type]++
-	}
-
-	// Iterate labels in sorted order rather than map order: the output
-	// order is part of the byte-determinism contract, and a non-stable
-	// sort over map-ordered elements would depend on label uniqueness.
-	labels := make([]string, 0, len(byLabel))
-	for label := range byLabel {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
-	out := make([]Breakdown, 0, len(byLabel))
-	for _, label := range labels {
-		b := byLabel[label]
-		if b.DiskYears > 0 {
-			for _, t := range failmodel.Types {
-				b.AFR[t] = float64(b.Events[t]) / b.DiskYears
-			}
-		}
-		out = append(out, *b)
-	}
-	return out
+	ds.fold([]*grouping{g})
+	return g.sorted()
 }
 
 // AFRByClass computes the Figure 4 breakdown: one bar per system class.
 // Bars come back in class order, not alphabetical.
 func (ds *Dataset) AFRByClass(fl Filter) []Breakdown {
-	bs := ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		return s.Class.String(), true
-	}, fl)
-	order := map[string]int{}
-	for i, c := range fleet.Classes {
-		order[c.String()] = i
-	}
-	sort.Slice(bs, func(i, j int) bool { return order[bs[i].Label] < order[bs[j].Label] })
-	return bs
+	return ds.foldOne(byClass, fl)
 }
 
 // AFRByDiskModel computes one Figure 5 panel: AFR per disk model for
 // systems of the given class using the given shelf model, sorted by
 // model name.
 func (ds *Dataset) AFRByDiskModel(class fleet.SystemClass, shelf fleet.ShelfModel, fl Filter) []Breakdown {
-	return ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		if s.Class != class || s.ShelfModel != shelf {
-			return "", false
-		}
-		return "Disk " + s.DiskModel.String(), true
-	}, fl)
+	return ds.foldOne(diskModelsIn(class, shelf), fl)
 }
 
 // AFRByShelfModel computes one Figure 6 panel: AFR per shelf enclosure
 // model for systems of the given class using the given disk model.
 func (ds *Dataset) AFRByShelfModel(class fleet.SystemClass, disk fleet.DiskModel, fl Filter) []Breakdown {
-	return ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		if s.Class != class || s.DiskModel != disk {
-			return "", false
-		}
-		return "Shelf Enclosure Model " + string(s.ShelfModel), true
-	}, fl)
+	return ds.foldOne(shelfModelsIn(class, disk), fl)
 }
 
 // AFRByPathConfig computes one Figure 7 panel: AFR for single-path vs
 // dual-path subsystems of the given class. The single-path group sorts
 // first, matching the paper's bar order.
 func (ds *Dataset) AFRByPathConfig(class fleet.SystemClass, fl Filter) []Breakdown {
-	bs := ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		if s.Class != class {
-			return "", false
-		}
-		if s.Paths == fleet.DualPath {
-			return "Dual Paths", true
-		}
-		return "Single Path", true
-	}, fl)
-	sort.Slice(bs, func(i, j int) bool { return bs[i].Label > bs[j].Label }) // "Single Path" > "Dual Paths"
-	return bs
+	return ds.foldOne(pathConfigsIn(class), fl)
 }
 
 // CompareAFR tests whether two groups' AFRs for failure type t differ,

@@ -29,16 +29,26 @@ type Analysis struct {
 // the problematic disk family.
 var noFamilyH = Filter{ExcludeFamily: fleet.ProblemFamily}
 
-// Analyze computes the dataset's shared analysis.
+// Analyze computes the dataset's shared analysis. Every breakdown
+// comes from one fold over the fleet's disks and the events.
 func (ds *Dataset) Analyze() *Analysis {
+	n := len(ds.Fleet.Systems)
+	class := newGrouping(byClass, noFamilyH, n)
+	familyH := newGrouping(byFamilyH, Filter{}, n)
+	models := newGrouping(byDiskModel, Filter{}, n)
+	env := newGrouping(byEnvironment, Filter{}, n)
+	shelf := shelfPanelGroupings(n)
+	path := pathPanelGroupings(n)
+	gs := append([]*grouping{class, familyH, models, env}, shelf...)
+	ds.foldBuiltin(append(gs, path...)...)
 	return &Analysis{
 		ds:               ds,
-		ByClass:          ds.AFRByClass(noFamilyH),
-		FamilyH:          ds.AFRByGroup(familyHKey, Filter{}),
-		ByDiskModel:      ds.afrByDiskModelAll(),
-		Env:              ds.EnvAFRSpread(),
-		ShelfPanels:      ds.shelfPanels(),
-		PathPanels:       ds.pathPanels(),
+		ByClass:          class.sorted(),
+		FamilyH:          familyH.sorted(),
+		ByDiskModel:      models.sorted(),
+		Env:              envSpread(env.sorted()),
+		ShelfPanels:      panels(shelf),
+		PathPanels:       panels(path),
 		ShelfGaps:        ds.Gaps(ByShelf, Filter{}),
 		RAIDGroupGaps:    ds.Gaps(ByRAIDGroup, Filter{}),
 		ShelfCorrelation: ds.Correlation(ByShelf, CorrelationOptions{}),

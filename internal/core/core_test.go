@@ -150,7 +150,7 @@ func TestFilterRecoveredAndTypes(t *testing.T) {
 		t.Fatalf("IncludeRecovered: %d events, want 2", len(withRec))
 	}
 	onlyProto := ds.selectEvents(Filter{Types: []failmodel.FailureType{failmodel.Protocol}})
-	if len(onlyProto) != 1 || onlyProto[0].Type != failmodel.Protocol {
+	if len(onlyProto) != 1 || ds.Events[onlyProto[0]].Type != failmodel.Protocol {
 		t.Fatal("type filter failed")
 	}
 	none := ds.selectEvents(Filter{System: func(s *fleet.System) bool { return false }})
@@ -338,11 +338,11 @@ func TestTable1Structure(t *testing.T) {
 func TestCompareAFRSignificance(t *testing.T) {
 	a := Breakdown{
 		Label: "A", DiskYears: 50000,
-		Events: map[failmodel.FailureType]int{failmodel.PhysicalInterconnect: 1330},
+		Events: [failmodel.NumTypes]int{failmodel.PhysicalInterconnect: 1330},
 	}
 	b := Breakdown{
 		Label: "B", DiskYears: 50000,
-		Events: map[failmodel.FailureType]int{failmodel.PhysicalInterconnect: 1090},
+		Events: [failmodel.NumTypes]int{failmodel.PhysicalInterconnect: 1090},
 	}
 	res := CompareAFR(a, b, failmodel.PhysicalInterconnect)
 	if res.Confidence() < 99.5 {
@@ -353,7 +353,7 @@ func TestCompareAFRSignificance(t *testing.T) {
 func TestBreakdownCI(t *testing.T) {
 	b := Breakdown{
 		DiskYears: 10000,
-		Events:    map[failmodel.FailureType]int{failmodel.DiskFailure: 100},
+		Events:    [failmodel.NumTypes]int{failmodel.DiskFailure: 100},
 	}
 	iv := b.CI(failmodel.DiskFailure, 0.995)
 	if !iv.Contains(0.01) {

@@ -74,51 +74,66 @@ func (ds *Dataset) Correlation(scope Scope, opts CorrelationOptions) []Correlati
 	}
 	fl := opts.Filter
 
-	// Containers observed for at least the window, keyed by ID, start
-	// observation at the owning system's install time.
-	containers := make(map[int]simtime.Seconds)
+	// Containers observed for at least the window start observation at
+	// the owning system's install time. Containers are indexed by ID.
+	type tally struct {
+		start    simtime.Seconds
+		counts   [failmodel.NumTypes]int32 // failures per type in the window
+		observed bool
+	}
+	var cs []tally
+	n := 0
 	admit := func(id, system int) {
 		sys := ds.Fleet.Systems[system]
 		if fl.admitsSystem(sys) && simtime.StudyDuration-sys.Install >= window {
-			containers[id] = sys.Install
+			cs[id] = tally{observed: true, start: sys.Install}
+			n++
 		}
 	}
 	if scope == ByShelf {
+		cs = make([]tally, len(ds.Fleet.Shelves))
 		for _, sh := range ds.Fleet.Shelves {
 			admit(sh.ID, sh.System)
 		}
 	} else {
+		cs = make([]tally, len(ds.Fleet.Groups))
 		for _, g := range ds.Fleet.Groups {
 			admit(g.ID, g.System)
 		}
 	}
 
 	// Count failures per (container, type) within the window.
-	counts := make(map[int]*[4]int, len(containers))
-	for _, e := range ds.Events {
-		if !fl.admitsEvent(e) {
+	for i := range ds.Events {
+		e := &ds.Events[i]
+		if !fl.admitsEvent(*e) {
 			continue
 		}
 		id := e.Shelf
 		if scope == ByRAIDGroup {
 			id = e.Group
-			if id < 0 {
-				continue
-			}
 		}
-		start, ok := containers[id]
-		if !ok || e.Detected < start || e.Detected >= start+window {
+		if id < 0 || id >= len(cs) {
 			continue
 		}
-		c := counts[id]
-		if c == nil {
-			c = new([4]int)
-			counts[id] = c
+		c := &cs[id]
+		if !c.observed || e.Detected < c.start || e.Detected >= c.start+window {
+			continue
 		}
-		c[int(e.Type)]++
+		c.counts[e.Type]++
 	}
 
-	n := len(containers)
+	var p1, p2 [failmodel.NumTypes]int // containers with exactly one / two failures
+	for i := range cs {
+		for t, k := range cs[i].counts {
+			switch k {
+			case 1:
+				p1[t]++
+			case 2:
+				p2[t]++
+			}
+		}
+	}
+
 	results := make([]CorrelationResult, 0, len(failmodel.Types))
 	for _, t := range failmodel.Types {
 		res := CorrelationResult{
@@ -126,14 +141,8 @@ func (ds *Dataset) Correlation(scope Scope, opts CorrelationOptions) []Correlati
 			Scope:       scope,
 			WindowYears: simtime.Years(window),
 			Containers:  n,
-		}
-		for _, c := range counts {
-			switch c[int(t)] {
-			case 1:
-				res.CountP1++
-			case 2:
-				res.CountP2++
-			}
+			CountP1:     p1[t],
+			CountP2:     p2[t],
 		}
 		if n > 0 {
 			res.P1 = float64(res.CountP1) / float64(n)

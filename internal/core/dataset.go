@@ -90,26 +90,25 @@ func (fl Filter) admitsEvent(e failmodel.Event) bool {
 	return true
 }
 
-// selectEvents returns the filtered events. Matches are counted first
-// so the result is allocated exactly once at its final size, instead of
-// growing a worst-case copy through repeated append doublings.
-func (ds *Dataset) selectEvents(fl Filter) []failmodel.Event {
-	admits := func(e failmodel.Event) bool {
-		return fl.admitsEvent(e) && fl.admitsSystem(ds.Fleet.Systems[e.System])
+// selectEvents returns the positions in ds.Events of the events the
+// filter admits, allocated once at their final size.
+func (ds *Dataset) selectEvents(fl Filter) []int32 {
+	admits := func(e *failmodel.Event) bool {
+		return fl.admitsEvent(*e) && fl.admitsSystem(ds.Fleet.Systems[e.System])
 	}
 	n := 0
-	for _, e := range ds.Events {
-		if admits(e) {
+	for i := range ds.Events {
+		if admits(&ds.Events[i]) {
 			n++
 		}
 	}
 	if n == 0 {
 		return nil
 	}
-	out := make([]failmodel.Event, 0, n)
-	for _, e := range ds.Events {
-		if admits(e) {
-			out = append(out, e)
+	out := make([]int32, 0, n)
+	for i := range ds.Events {
+		if admits(&ds.Events[i]) {
+			out = append(out, int32(i))
 		}
 	}
 	return out

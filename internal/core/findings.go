@@ -93,19 +93,6 @@ func (a *Analysis) finding2() Finding {
 	return f
 }
 
-// familyHKey compares family-H systems with the rest within the
-// classes that deploy family H (all but near-line), so the class mix
-// does not confound Finding 3.
-func familyHKey(s *fleet.System) (string, bool) {
-	if s.Class == fleet.NearLine {
-		return "", false
-	}
-	if s.DiskModel.Family == fleet.ProblemFamily {
-		return "family H", true
-	}
-	return "other families", true
-}
-
 // familyHComparison returns Finding 3's two groups and the family-H
 // subsystem AFR over the other families'; the ratio is NaN when either
 // population is missing or the other families saw no failures.
@@ -155,13 +142,16 @@ type EnvSpread struct {
 // EnvAFRSpread computes Finding 4's spread comparison — the statistic
 // behind the finding4 verdict and the sweep's afr_spread_disk /
 // afr_spread_subsys metrics. Environments are (class, shelf model,
-// disk model) groups with at least 200 disk-years of exposure. Labels
-// lead with the disk model, so the sorted breakdowns arrive grouped by
-// model in a fixed order and the float averages are deterministic.
+// disk model) groups with at least 200 disk-years of exposure.
 func (ds *Dataset) EnvAFRSpread() EnvSpread {
-	bs := ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		return fmt.Sprintf("%s|%s|%s", s.DiskModel, s.Class, s.ShelfModel), true
-	}, Filter{})
+	return envSpread(ds.foldOne(byEnvironment, Filter{}))
+}
+
+// envSpread averages the spreads over the environment breakdowns.
+// Labels lead with the disk model, so the sorted breakdowns arrive
+// grouped by model in a fixed order and the float averages are
+// deterministic.
+func envSpread(bs []Breakdown) EnvSpread {
 	var diskSpreads, totalSpreads, disks, totals []float64
 	flush := func() { // close one model's environments
 		if len(disks) >= 2 {
@@ -208,13 +198,6 @@ func (a *Analysis) finding4() Finding {
 	return f
 }
 
-// afrByDiskModelAll is the whole fleet's breakdown per disk model.
-func (ds *Dataset) afrByDiskModelAll() []Breakdown {
-	return ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		return s.DiskModel.String(), true
-	}, Filter{})
-}
-
 // capacityPairs lists the within-family (smaller, larger) capacity
 // pairs the Finding 5 comparison walks — every family deploying
 // multiple capacities.
@@ -251,7 +234,7 @@ func capacityAFRMeanRatio(byModel []Breakdown) (ratio float64, pairs int) {
 // capacity, so the ratio stays at or below ~1). NaN with zero pairs
 // when no pair has enough exposure.
 func (ds *Dataset) CapacityAFRMeanRatio() (ratio float64, pairs int) {
-	return capacityAFRMeanRatio(ds.afrByDiskModelAll())
+	return capacityAFRMeanRatio(ds.foldOne(byDiskModel, Filter{}))
 }
 
 // CapacityAFRMeanRatio is Dataset.CapacityAFRMeanRatio on the analysis.
@@ -289,11 +272,9 @@ func (a *Analysis) finding5() Finding {
 var ShelfCompareModels = []fleet.DiskModel{fleet.DiskA2, fleet.DiskA3, fleet.DiskD2, fleet.DiskD3}
 
 func (ds *Dataset) shelfPanels() [][]Breakdown {
-	panels := make([][]Breakdown, len(ShelfCompareModels))
-	for i, m := range ShelfCompareModels {
-		panels[i] = ds.AFRByShelfModel(fleet.LowEnd, m, Filter{})
-	}
-	return panels
+	gs := shelfPanelGroupings(len(ds.Fleet.Systems))
+	ds.foldBuiltin(gs...)
+	return panels(gs)
 }
 
 // shelfPair returns a Figure 6 panel's shelf model A and B bars; ok is
@@ -379,11 +360,9 @@ func (a *Analysis) finding6() Finding {
 var MultipathClasses = []fleet.SystemClass{fleet.MidRange, fleet.HighEnd}
 
 func (ds *Dataset) pathPanels() [][]Breakdown {
-	panels := make([][]Breakdown, len(MultipathClasses))
-	for i, class := range MultipathClasses {
-		panels[i] = ds.AFRByPathConfig(class, noFamilyH)
-	}
-	return panels
+	gs := pathPanelGroupings(len(ds.Fleet.Systems))
+	ds.foldBuiltin(gs...)
+	return panels(gs)
 }
 
 // pathPair returns a Figure 7 panel's single-path and dual-path bars;

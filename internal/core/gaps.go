@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"storagesubsys/internal/failmodel"
+	"storagesubsys/internal/simtime"
 	"storagesubsys/internal/stats"
 )
 
@@ -42,12 +43,10 @@ type GapAnalysis struct {
 	PerType map[failmodel.FailureType]*stats.ECDF
 	// Overall pools gaps between storage subsystem failures of any type.
 	Overall *stats.ECDF
-	// DiskFits are the candidate-distribution fits to the disk failure
-	// gaps, best first (the paper: Gamma fits best; Exponential, Gamma,
-	// Weibull are the candidates).
-	DiskFits []stats.FitResult
 	// Containers is the number of containers contributing >= 2 failures.
 	Containers int
+
+	diskGaps []float64 // the disk failure gaps in pooling order
 }
 
 // FractionWithin returns the fraction of gaps of failure type t below
@@ -90,49 +89,63 @@ func (ds *Dataset) Gaps(scope Scope, fl Filter) *GapAnalysis {
 		PerType: make(map[failmodel.FailureType]*stats.ECDF),
 	}
 
-	container := func(e failmodel.Event) int {
+	// Lay the filtered events out by container ID: count, prefix-sum,
+	// scatter. Spare disks belong to no RAID group (container -1).
+	// Pooling in container-ID order pins the order of the pooled
+	// samples, which feed floating-point MLE fits.
+	events := ds.Events
+	container := func(i int32) int32 {
 		if scope == ByRAIDGroup {
-			return e.Group
+			return int32(events[i].Group)
 		}
-		return e.Shelf
+		return int32(events[i].Shelf)
 	}
-
-	events := ds.selectEvents(fl)
-	byContainer := make(map[int][]failmodel.Event)
-	for _, e := range events {
-		c := container(e)
-		if c < 0 {
-			continue // spare disks belong to no RAID group
+	selected := ds.selectEvents(fl)
+	top := int32(-1)
+	var typeN [failmodel.NumTypes]int
+	for _, i := range selected {
+		top = max(top, container(i))
+		typeN[events[i].Type]++
+	}
+	start := make([]int32, top+2) // where each container's events begin in order
+	for _, i := range selected {
+		if c := container(i); c >= 0 {
+			start[c+1]++
 		}
-		byContainer[c] = append(byContainer[c], e)
 	}
-
-	// Pool gaps in container-ID order, not map order: the pooled sample
-	// feeds floating-point MLE fits, so iteration order must be pinned
-	// for whole-run output to be byte-identical across invocations.
-	containerIDs := make([]int, 0, len(byContainer))
-	for c := range byContainer {
-		containerIDs = append(containerIDs, c)
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
 	}
-	sort.Ints(containerIDs)
+	order := make([]int32, start[top+1]) // event positions by container
+	for _, i := range selected {
+		if c := container(i); c >= 0 {
+			order[start[c]] = i
+			start[c]++
+		}
+	}
+	// Now start[c] is where container c's events end.
 
-	perType := make(map[failmodel.FailureType][]float64)
-	var overall []float64
-	for _, c := range containerIDs {
-		seq := byContainer[c]
-		sort.Slice(seq, func(i, j int) bool { return seq[i].Detected < seq[j].Detected })
+	overall := make([]float64, 0, len(order))
+	var perType [failmodel.NumTypes][]float64
+	for t, n := range typeN {
+		perType[t] = make([]float64, 0, n)
+	}
+	lo := int32(0)
+	for _, hi := range start[:top+1] {
+		seq := order[lo:hi]
+		lo = hi
 		if len(seq) >= 2 {
 			g.Containers++
 		}
-		overall = append(overall, sequenceGaps(seq)...)
-		for _, t := range failmodel.Types {
-			var typed []failmodel.Event
-			for _, e := range seq {
-				if e.Type == t {
-					typed = append(typed, e)
-				}
-			}
-			perType[t] = append(perType[t], sequenceGaps(typed)...)
+		if !detectionOrdered(events, seq) {
+			sort.Slice(seq, func(i, j int) bool { return events[seq[i]].Detected < events[seq[j]].Detected })
+		}
+		var all gapRun
+		var typed [failmodel.NumTypes]gapRun
+		for _, i := range seq {
+			e := &events[i]
+			overall = all.next(e, overall)
+			perType[e.Type] = typed[e.Type].next(e, perType[e.Type])
 		}
 	}
 
@@ -140,46 +153,68 @@ func (ds *Dataset) Gaps(scope Scope, fl Filter) *GapAnalysis {
 	for _, t := range failmodel.Types {
 		g.PerType[t] = stats.NewECDF(perType[t])
 	}
-
-	if disk := perType[failmodel.DiskFailure]; len(disk) >= 8 {
-		if fits, err := stats.FitAll(disk); err == nil {
-			g.DiskFits = fits
-		}
-	}
+	g.diskGaps = perType[failmodel.DiskFailure]
 	return g
 }
 
-// sequenceGaps applies the duplicate filter to a detection-time-sorted
-// sequence and returns the gaps between consecutive retained events, in
-// seconds, floored at one second.
-func sequenceGaps(seq []failmodel.Event) []float64 {
-	var gaps []float64
-	havePrev := false
-	var prev failmodel.Event
-	for _, e := range seq {
-		if havePrev && e.Disk == prev.Disk {
-			continue // duplicate: same disk failing again
+// detectionOrdered reports whether the events at positions seq are
+// already in detection order. Sorting them anyway would not move an
+// event: the pattern-defeating quicksort returns sorted input
+// untouched.
+func detectionOrdered(events []failmodel.Event, seq []int32) bool {
+	for k := 1; k < len(seq); k++ {
+		if events[seq[k]].Detected < events[seq[k-1]].Detected {
+			return false
 		}
-		if havePrev {
-			gap := float64(e.Detected - prev.Detected)
-			if gap < 1 {
-				gap = 1
-			}
-			gaps = append(gaps, gap)
-		}
-		prev = e
-		havePrev = true
 	}
+	return true
+}
+
+// gapRun is the duplicate filter along one detection-ordered sequence:
+// the last retained event's disk and detection time.
+type gapRun struct {
+	started bool
+	disk    int
+	at      simtime.Seconds
+}
+
+// next feeds e to the sequence. Unless e is a duplicate (the same disk
+// failing again), it is retained, and the gap since the previous
+// retained event, in seconds and floored at one second, is appended to
+// gaps.
+//
+//detlint:hotpath
+func (r *gapRun) next(e *failmodel.Event, gaps []float64) []float64 {
+	if r.started && e.Disk == r.disk {
+		return gaps
+	}
+	if r.started {
+		gaps = append(gaps, max(float64(e.Detected-r.at), 1))
+	}
+	*r = gapRun{started: true, disk: e.Disk, at: e.Detected}
 	return gaps
+}
+
+// DiskFits fits the candidate distributions to the disk failure gaps,
+// best first (the paper: Gamma fits best; Exponential, Gamma, Weibull
+// are the candidates). It is nil with fewer than 8 gaps. The fits are
+// computed on each call.
+func (g *GapAnalysis) DiskFits() []stats.FitResult {
+	fits, err := stats.FitAll(g.diskGaps)
+	if err != nil {
+		return nil
+	}
+	return fits
 }
 
 // BestFitName returns the name of the best-fitting candidate
 // distribution for disk failure gaps, or "" if no fit was possible.
 func (g *GapAnalysis) BestFitName() string {
-	if len(g.DiskFits) == 0 {
+	fits := g.DiskFits()
+	if len(fits) == 0 {
 		return ""
 	}
-	return g.DiskFits[0].Dist.Name()
+	return fits[0].Dist.Name()
 }
 
 // GammaGOF runs the paper's chi-square goodness-of-fit check of the

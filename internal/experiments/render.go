@@ -183,9 +183,9 @@ func (env *Env) Fig9(w io.Writer) {
 			fmt.Fprintf(w, ", %s %.0f%%", t.Short(), g.FractionWithin(t, core.BurstThreshold)*100)
 		}
 		fmt.Fprintln(w)
-		if len(g.DiskFits) > 0 {
+		if fits := g.DiskFits(); len(fits) > 0 {
 			fmt.Fprint(w, "  disk failure gap fits (best first): ")
-			for i, fr := range g.DiskFits {
+			for i, fr := range fits {
 				if i > 0 {
 					fmt.Fprint(w, "; ")
 				}

@@ -221,7 +221,12 @@ func TestTypeStrings(t *testing.T) {
 			t.Errorf("%v.Short() = %q", ft, ft.Short())
 		}
 	}
-	if len(Types) != 4 {
+	if len(Types) != 4 || NumTypes != len(Types) {
 		t.Error("the paper defines four failure types")
+	}
+	for i, ft := range Types {
+		if int(ft) != i {
+			t.Errorf("Types[%d] = %d: per-type arrays index by FailureType", i, ft)
+		}
 	}
 }

@@ -41,6 +41,10 @@ const (
 // Types lists all failure types in display order.
 var Types = []FailureType{DiskFailure, PhysicalInterconnect, Protocol, Performance}
 
+// NumTypes is the number of failure types: the length of a per-type
+// tally indexed by FailureType.
+const NumTypes = 4
+
 func (t FailureType) String() string {
 	switch t {
 	case DiskFailure:

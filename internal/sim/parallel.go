@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"storagesubsys/internal/failmodel"
@@ -116,12 +117,11 @@ func RunWorkersOpts(f *fleet.Fleet, params *failmodel.Params, seed int64, worker
 			// yet. The stable sort keeps generation order for the
 			// (astronomically rare) same-time same-disk ties, so the
 			// order cannot depend on how systems were sharded.
-			sort.SliceStable(w.events, func(i, j int) bool {
-				a, b := w.events[i], w.events[j]
+			slices.SortStableFunc(w.events, func(a, b failmodel.Event) int {
 				if a.Time != b.Time {
-					return a.Time < b.Time
+					return cmp.Compare(a.Time, b.Time)
 				}
-				return w.diskKey(a.Disk) < w.diskKey(b.Disk)
+				return cmp.Compare(w.diskKey(a.Disk), w.diskKey(b.Disk))
 			})
 		}(w, f.Systems[lo:hi])
 	}

@@ -716,13 +716,16 @@ func Execute(cfg Config, resume *CheckpointState, progress Progress) (*Result, e
 				abort()
 				return nil, ErrKilled
 			}
-		}
-		if capturing && next-lastCkpt >= every && next < endJob {
-			if err := saveCheckpoint(); err != nil {
-				abort()
-				return nil, err
+			// The cadence is judged per aggregated job, so a run of
+			// out-of-order arrivals released at once still leaves a
+			// checkpoint every `every` jobs.
+			if capturing && next-lastCkpt >= every && next < endJob {
+				if err := saveCheckpoint(); err != nil {
+					abort()
+					return nil, err
+				}
+				lastCkpt = next
 			}
-			lastCkpt = next
 		}
 	}
 
