@@ -48,12 +48,36 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"storagesubsys/internal/sweepd"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// Connection timeouts of the HTTP edge. A client that trickles its
+// request headers or body, or parks an idle keep-alive connection,
+// would otherwise hold a connection and its goroutine forever. A
+// request body is one scenario file (kilobytes), so half a minute is
+// generous. There is no write timeout: status polls are short, and a
+// result body is written from memory at the client's pace.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the control-plane handler in the server run
+// serves it with, carrying the edge timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // newFlagSet builds the command's flag set on a caller-owned error
@@ -123,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigc)
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	served := make(chan error, 1)
 	go func() { served <- hs.Serve(ln) }()
 	fmt.Fprintf(stderr, "sweepd: listening on http://%s (state %s, pool %d)\n", ln.Addr(), *dir, *pool)

@@ -186,3 +186,25 @@ func TestRunServesAndDrainsOnSIGTERM(t *testing.T) {
 		t.Fatalf("drain messages missing from stderr: %q", out)
 	}
 }
+
+// TestHTTPServerTimeouts: the server run serves the control plane with
+// carries every edge timeout, so a slow or idle client cannot pin a
+// connection indefinitely.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.Handler == nil {
+		t.Fatal("server has no handler")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want time.Duration
+	}{
+		{"ReadHeaderTimeout", hs.ReadHeaderTimeout, readHeaderTimeout},
+		{"ReadTimeout", hs.ReadTimeout, readTimeout},
+		{"IdleTimeout", hs.IdleTimeout, idleTimeout},
+	} {
+		if c.got != c.want || c.got <= 0 {
+			t.Errorf("%s = %v, want %v (positive)", c.name, c.got, c.want)
+		}
+	}
+}

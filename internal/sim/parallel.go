@@ -82,7 +82,7 @@ func RunWorkersOpts(f *fleet.Fleet, params *failmodel.Params, seed int64, worker
 		sc.ws = append(sc.ws, &worker{})
 	}
 
-	// The root stream is shared read-only across workers: Split is a
+	// The root identity is shared read-only across workers: Split is a
 	// pure function of (identity, stream key), so concurrent splits are
 	// race-free and allocation-free. An antithetic run mirrors the root;
 	// the flip mask propagates through every descendant split.
@@ -90,6 +90,7 @@ func RunWorkersOpts(f *fleet.Fleet, params *failmodel.Params, seed int64, worker
 	if opts.Antithetic {
 		root = root.Antithetic()
 	}
+	rootKey := root.Key()
 	initial := len(f.Disks)
 
 	ws := sc.ws[:workers]
@@ -109,8 +110,7 @@ func RunWorkersOpts(f *fleet.Fleet, params *failmodel.Params, seed int64, worker
 		go func(w *worker, systems []*fleet.System) {
 			defer wg.Done()
 			for _, sys := range systems {
-				sysRNG := root.Split(streamKey(streamSys, sys.ID))
-				w.simulateSystem(sys, &sysRNG)
+				w.simulateSystem(sys, rootKey.Split(streamKey(streamSys, sys.ID)))
 			}
 			// Sort the shard's stream by (time, eventual final disk ID);
 			// diskKey stands in for final IDs, which are not assigned

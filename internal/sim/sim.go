@@ -26,6 +26,19 @@
 // scratch buffers that are recycled across systems. The only steady-
 // state allocations are the simulation's actual outputs: the event
 // buffer and the replacement-disk records.
+//
+// The stream tree is cheap to walk. The per-system, per-shelf and
+// per-slot streams are only ever parents, so they are held as
+// stats.Key identities (one mix64 per split) and never expanded into
+// generator state. A leaf stream is expanded only when it is first
+// drawn from: a slot's environment-hit stream only when its shelf had
+// an environment episode and the hit probability is positive, its
+// cause stream at its first baseline failure, its repair stream at its
+// first stochastic lag. Every stream is a pure function of its split
+// path, so an expansion deferred to the first draw yields the draws an
+// eager one would have. Rates that depend on the disk model are
+// resolved once per system, since a system's disks — replacements
+// included — all carry the system's DiskModel.
 package sim
 
 import (
@@ -127,6 +140,13 @@ type worker struct {
 	arena   fleet.ReplacementArena
 	events  []failmodel.Event
 
+	// Rates of the system being simulated, resolved once from its
+	// DiskModel, which every disk of the system carries.
+	baseRate float64 // per-slot baseline disk failure rate (DiskBaseRate)
+	hitProb  float64 // per-slot environment-episode hit probability (EnvHitProb)
+	piRate   float64 // single-path PI event rate per disk-year (PIRate)
+	perfRate float64 // performance event rate per disk-year (PerfRate)
+
 	// Scratch buffers recycled across systems.
 	envTimes []simtime.Seconds // environment episode onsets (per shelf)
 	times    []simtime.Seconds // Poisson process draws (per process)
@@ -209,16 +229,21 @@ func (w *worker) chainBuf(i int) slotChain {
 	return w.chains[i][:0]
 }
 
-// simulateSystem realizes every failure process of one system; with
-// the scratch buffers warm it allocates only output events.
+// simulateSystem realizes every failure process of one system, whose
+// stream identity is k; with the scratch buffers warm it allocates
+// only output events.
 //
 //detlint:hotpath
-func (w *worker) simulateSystem(sys *fleet.System, r *stats.RNG) {
+func (w *worker) simulateSystem(sys *fleet.System, k stats.Key) {
 	end := simtime.StudyDuration
 	if sys.Install >= end {
 		return
 	}
 	p := w.params
+	w.baseRate = p.DiskBaseRate(sys.DiskModel)
+	w.hitProb = p.EnvHitProb(sys.DiskModel)
+	w.piRate = p.PIRate(sys.Class, sys.ShelfModel, sys.DiskModel)
+	w.perfRate = p.PerfRate(sys.Class, sys.DiskModel)
 
 	// Per-slot occupancy chains for the whole system, flat in shelf
 	// order, for victim lookup by the episode processes.
@@ -227,27 +252,26 @@ func (w *worker) simulateSystem(sys *fleet.System, r *stats.RNG) {
 
 	for _, shelfID := range sys.Shelves {
 		shelf := w.f.Shelves[shelfID]
-		shelfRNG := r.Split(streamKey(streamShelf, shelf.ID))
+		shelfKey := k.Split(streamKey(streamShelf, shelf.ID))
 
 		// Environment episodes shared by every disk in the shelf.
-		envRNG := shelfRNG.Split(streamEnv)
+		envRNG := shelfKey.Split(streamEnv).RNG()
 		w.envTimes = poissonTimes(w.envTimes[:0], p.EnvEpisodeRate, sys.Install, end, &envRNG)
 
 		w.shelfOff = append(w.shelfOff, used)
 		for idx, diskID := range shelf.Disks {
-			slotRNG := shelfRNG.Split(streamKey(streamSlot, idx))
 			buf := w.chainBuf(used) // grows w.chains before the index store below
-			w.chains[used] = w.simulateSlot(sys, diskID, w.envTimes, &slotRNG, buf)
+			w.chains[used] = w.simulateSlot(sys, diskID, w.envTimes, shelfKey.Split(streamKey(streamSlot, idx)), buf)
 			used++
 		}
 
-		w.simulateShelfEpisodes(sys, shelf, w.chains[w.shelfOff[len(w.shelfOff)-1]:used], &shelfRNG)
+		w.simulateShelfEpisodes(sys, w.chains[w.shelfOff[len(w.shelfOff)-1]:used], shelfKey)
 	}
 	w.shelfOff = append(w.shelfOff, used)
 
-	loopRNG := r.Split(streamLoop)
+	loopRNG := k.Split(streamLoop).RNG()
 	w.simulateLoopEpisodes(sys, used, &loopRNG)
-	protoRNG := r.Split(streamProto)
+	protoRNG := k.Split(streamProto).RNG()
 	w.simulateProtocolEpisodes(sys, used, &protoRNG)
 }
 
@@ -256,36 +280,40 @@ func (w *worker) simulateSystem(sys *fleet.System, r *stats.RNG) {
 // and churn are Poisson processes over the whole window thinned by slot
 // occupancy (valid because both are memoryless and replacements share
 // the failed disk's model); environment hits are per-episode Bernoulli
-// marks spread over the episode window. The returned chain reuses the
-// caller-provided buffer's storage where capacity allows.
+// marks spread over the episode window. The slot's stream identity is
+// k; each leaf stream is expanded at its first draw. The returned chain
+// reuses the caller-provided buffer's storage where capacity allows.
 //
 //detlint:hotpath
-func (w *worker) simulateSlot(sys *fleet.System, diskID int, envTimes []simtime.Seconds, r *stats.RNG, chain slotChain) slotChain {
+func (w *worker) simulateSlot(sys *fleet.System, diskID int, envTimes []simtime.Seconds, k stats.Key, chain slotChain) slotChain {
 	end := simtime.StudyDuration
 	p := w.params
 	d := w.f.Disks[diskID]
 
 	cands := w.cands[:0]
-	baseRNG := r.Split(streamBase)
-	w.times = w.basePoissonTimes(w.times[:0], p.DiskBaseRate(d.Model), d.Install, end, &baseRNG, d.ID)
+	baseRNG := k.Split(streamBase).RNG()
+	w.times = w.basePoissonTimes(w.times[:0], w.baseRate, d.Install, end, &baseRNG, d.ID)
 	for _, t := range w.times {
 		cands = append(cands, candidate{t, candBase})
 	}
-	envRNG := r.Split(streamEnvHit)
-	hitProb := p.EnvHitProb(d.Model)
-	for _, et := range envTimes {
-		if envRNG.Bernoulli(hitProb) {
-			// Gamma(0.5) offset with mean EnvSpread/2: most environment
-			// casualties fall shortly after the episode onset with a
-			// decaying tail, which keeps the pooled disk-gap distribution
-			// Gamma-like (Finding 8) rather than bimodal.
-			t := et + simtime.Seconds(envRNG.Gamma(0.5, float64(p.EnvSpread)))
-			if t < end {
-				cands = append(cands, candidate{t, candEnv})
+	// Bernoulli draws nothing when hitProb <= 0, so the env-hit stream
+	// is expanded only when it will be drawn from.
+	if len(envTimes) > 0 && w.hitProb > 0 {
+		envRNG := k.Split(streamEnvHit).RNG()
+		for _, et := range envTimes {
+			if envRNG.Bernoulli(w.hitProb) {
+				// Gamma(0.5) offset with mean EnvSpread/2: most environment
+				// casualties fall shortly after the episode onset with a
+				// decaying tail, which keeps the pooled disk-gap distribution
+				// Gamma-like (Finding 8) rather than bimodal.
+				t := et + simtime.Seconds(envRNG.Gamma(0.5, float64(p.EnvSpread)))
+				if t < end {
+					cands = append(cands, candidate{t, candEnv})
+				}
 			}
 		}
 	}
-	churnRNG := r.Split(streamChurn)
+	churnRNG := k.Split(streamChurn).RNG()
 	w.times = poissonTimes(w.times[:0], sys.ChurnPerDiskYear, d.Install, end, &churnRNG)
 	for _, t := range w.times {
 		cands = append(cands, candidate{t, candChurn})
@@ -303,14 +331,13 @@ func (w *worker) simulateSlot(sys *fleet.System, diskID int, envTimes []simtime.
 
 	chain = append(chain, occupancy{disk: d.ID, from: d.Install, to: end})
 	cur := d
-	causeRNG := r.Split(streamCause)
-	// Stochastic repair lags draw from their own slot stream, and only
-	// when the distribution is enabled: the default deterministic lag
-	// consumes no randomness, so calibrated streams are untouched.
-	var repairRNG stats.RNG
-	if p.RepairLagSigma > 0 {
-		repairRNG = r.Split(streamRepair)
-	}
+	// The cause stream is expanded at the first baseline failure and the
+	// repair stream at the first stochastic lag. Stochastic repair lags
+	// draw from their own slot stream, and only when the distribution is
+	// enabled: the default deterministic lag consumes no randomness, so
+	// calibrated streams are untouched.
+	var causeRNG, repairRNG stats.RNG
+	causeLive, repairLive := false, false
 	for _, c := range cands {
 		if c.t < cur.Install || c.t >= end {
 			continue // slot empty (repair gap) or outside the window
@@ -320,6 +347,9 @@ func (w *worker) simulateSlot(sys *fleet.System, diskID int, envTimes []simtime.
 			cause := failmodel.CauseDiskEnv
 			if c.kind == candBase {
 				cause = failmodel.CauseDiskMedia
+				if !causeLive {
+					causeRNG, causeLive = k.Split(streamCause).RNG(), true
+				}
 				if causeRNG.Bernoulli(0.4) {
 					cause = failmodel.CauseDiskMechanical
 				}
@@ -339,6 +369,9 @@ func (w *worker) simulateSlot(sys *fleet.System, diskID int, envTimes []simtime.
 			chain[len(chain)-1].to = c.t
 			lag := p.RepairLag
 			if p.RepairLagSigma > 0 {
+				if !repairLive {
+					repairRNG, repairLive = k.Split(streamRepair).RNG(), true
+				}
 				lag = lognormalGap(p.RepairLag, p.RepairLagSigma, &repairRNG)
 			}
 			reinstall := c.t + lag
@@ -359,10 +392,11 @@ func (w *worker) simulateSlot(sys *fleet.System, diskID int, envTimes []simtime.
 }
 
 // simulateShelfEpisodes draws the interconnect and performance episode
-// processes for one shelf and emits their event bursts.
+// processes for the shelf whose stream identity is k and emits their
+// event bursts.
 //
 //detlint:hotpath
-func (w *worker) simulateShelfEpisodes(sys *fleet.System, shelf *fleet.Shelf, chains []slotChain, r *stats.RNG) {
+func (w *worker) simulateShelfEpisodes(sys *fleet.System, chains []slotChain, k stats.Key) {
 	nSlots := len(chains)
 	if nSlots == 0 {
 		return
@@ -372,8 +406,8 @@ func (w *worker) simulateShelfEpisodes(sys *fleet.System, shelf *fleet.Shelf, ch
 
 	// Shelf-level physical interconnect episodes (the loop-level share
 	// is generated per system by simulateLoopEpisodes).
-	piRate := p.PIEpisodeRate(sys.Class, sys.ShelfModel, sys.DiskModel, nSlots) * (1 - p.PILoopFraction)
-	piRNG := r.Split(streamPI)
+	piRate := p.PIEpisodeRate(w.piRate, nSlots) * (1 - p.PILoopFraction)
+	piRNG := k.Split(streamPI).RNG()
 	mix := p.PICauseWeights[sys.Class]
 	w.times = poissonTimes(w.times[:0], piRate, sys.Install, end, &piRNG)
 	for _, t0 := range w.times {
@@ -384,8 +418,8 @@ func (w *worker) simulateShelfEpisodes(sys *fleet.System, shelf *fleet.Shelf, ch
 	}
 
 	// Performance episodes.
-	perfRate := p.PerfRate(sys.Class, sys.DiskModel) * float64(nSlots) / p.PerfBurst.Expected()
-	perfRNG := r.Split(streamPerf)
+	perfRate := w.perfRate * float64(nSlots) / p.PerfBurst.Expected()
+	perfRNG := k.Split(streamPerf).RNG()
 	w.times = poissonTimes(w.times[:0], perfRate, sys.Install, end, &perfRNG)
 	for _, t0 := range w.times {
 		cause := failmodel.CauseSlowIO
@@ -409,7 +443,7 @@ func (w *worker) simulateLoopEpisodes(sys *fleet.System, totalSlots int, r *stat
 		return
 	}
 	end := simtime.StudyDuration
-	rate := p.PIRate(sys.Class, sys.ShelfModel, sys.DiskModel) * float64(totalSlots) *
+	rate := w.piRate * float64(totalSlots) *
 		p.PILoopFraction / p.PIBurst.Expected()
 	mix := p.PICauseWeights[sys.Class]
 	w.times = poissonTimes(w.times[:0], rate, sys.Install, end, r)

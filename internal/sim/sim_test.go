@@ -368,11 +368,11 @@ func TestSimulateSystemAllocBudget(t *testing.T) {
 	f := fleet.BuildDefault(0.01, 17)
 	w := &worker{f: f, params: failmodel.DefaultParams(), initial: len(f.Disks)}
 	root := stats.NewRNG(18).Split(streamSim)
+	rootKey := root.Key()
 
 	// Warm-up: size every scratch buffer and the event slice.
 	for _, sys := range f.Systems {
-		sysRNG := root.Split(streamKey(streamSys, sys.ID))
-		w.simulateSystem(sys, &sysRNG)
+		w.simulateSystem(sys, rootKey.Split(streamKey(streamSys, sys.ID)))
 	}
 	events := w.events[:0]
 
@@ -380,8 +380,7 @@ func TestSimulateSystemAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		w.events = events
 		w.arena = fleet.ReplacementArena{}
-		sysRNG := root.Split(streamKey(streamSys, sys.ID))
-		w.simulateSystem(sys, &sysRNG)
+		w.simulateSystem(sys, rootKey.Split(streamKey(streamSys, sys.ID)))
 	})
 	// Resetting the arena above makes each replacement cost one Disk
 	// record plus slice regrowth — genuine output, not loop garbage. A
@@ -393,7 +392,8 @@ func TestSimulateSystemAllocBudget(t *testing.T) {
 }
 
 // TestRNGSplitZeroAlloc pins the tentpole property at the call site the
-// simulator depends on: splitting a stream costs nothing.
+// simulator depends on: splitting a stream — as a full generator or as
+// an unexpanded key — and expanding a key cost nothing.
 func TestRNGSplitZeroAlloc(t *testing.T) {
 	root := stats.NewRNG(1).Split(streamSim)
 	var sink uint64
@@ -403,6 +403,14 @@ func TestRNGSplitZeroAlloc(t *testing.T) {
 		sink += g.Uint64()
 	}); n != 0 {
 		t.Fatalf("RNG.Split allocated %v times per run, want 0", n)
+	}
+	rootKey := root.Key()
+	if n := testing.AllocsPerRun(1000, func() {
+		k := rootKey.Split(streamKey(streamSys, 12345)).Split(streamKey(streamShelf, 7))
+		g := k.Split(streamKey(streamSlot, 3)).RNG()
+		sink += g.Uint64()
+	}); n != 0 {
+		t.Fatalf("Key.Split + Key.RNG allocated %v times per run, want 0", n)
 	}
 	_ = sink
 }

@@ -23,10 +23,16 @@ import (
 // stream index). Two properties follow:
 //
 //   - Split is a constant-size, allocation-free pure function: the
-//     returned child is a 40-byte value, so per-shelf / per-slot /
+//     returned child is a 48-byte value, so per-shelf / per-slot /
 //     per-process streams can be split in the simulation hot path
 //     without generating any garbage (the old math/rand-backed RNG
 //     allocated a ~5KB lagged-Fibonacci state array per split).
+//   - A stream need not be expanded to be split. Key holds only the
+//     identity, so a stream that is only a parent (the simulator's
+//     per-system, per-shelf and per-slot streams) costs one mix64 per
+//     child, and a leaf is expanded into generator state only when
+//     its first draw happens — with the same draws it would have had
+//     if it had been expanded eagerly.
 //   - Streams are decoupled: a child depends only on the parent's key
 //     and the caller-chosen stream index, so inserting a new component
 //     (a new split index) never perturbs the randomness of existing
@@ -84,13 +90,47 @@ func NewRNG(seed int64) *RNG {
 // and the index — the parent's draw position is neither consumed nor
 // consulted — so the same (parent, stream) pair always yields the same
 // child, and distinct indices yield decoupled streams. Split performs
-// no allocation; the returned value is self-contained.
+// no allocation; the returned value is self-contained. It is exactly
+// r.Key().Split(stream).RNG().
 //
 //detlint:hotpath
 func (r *RNG) Split(stream uint64) RNG {
-	c := fromKey(mix64(r.key + golden64*(stream+1)))
-	c.flip = r.flip
-	return c
+	return r.Key().Split(stream).RNG()
+}
+
+// Key is a stream's identity without its generator state: the split
+// key plus the antithetic mask. A stream that is only ever a parent —
+// split into children but never drawn from — can be held as a Key,
+// whose Split costs one mix64 instead of the five of RNG.Split (the
+// same one plus the four-step expansion). Key.Split and RNG.Split derive the same children:
+// expanding k.Split(a).Split(b) with RNG yields exactly the stream
+// r.Split(a).Split(b) for k = r.Key(), antithetic mask included, so
+// deferring the expansion of a stream until its first draw never
+// changes a drawn value.
+type Key struct {
+	key  uint64 // stream identity: hash of the seed and split path
+	flip uint64 // antithetic mask, carried to every descendant
+}
+
+// Key returns the stream's identity. Draws never change it.
+func (r *RNG) Key() Key { return Key{key: r.key, flip: r.flip} }
+
+// Split derives the child identity for a caller-chosen stream index
+// (see RNG.Split) without expanding any generator state.
+//
+//detlint:hotpath
+func (k Key) Split(stream uint64) Key {
+	return Key{key: mix64(k.key + golden64*(stream+1)), flip: k.flip}
+}
+
+// RNG expands the identity into a generator positioned at the stream's
+// first draw.
+//
+//detlint:hotpath
+func (k Key) RNG() RNG {
+	r := fromKey(k.key)
+	r.flip = k.flip
+	return r
 }
 
 // Antithetic returns a copy of the stream that emits the bitwise

@@ -85,6 +85,54 @@ func TestRNGSplitChildrenDecorrelate(t *testing.T) {
 	}
 }
 
+// splitRef is the child derivation RNG.Split has always used, written
+// out independently of Key so the equivalence test below also pins the
+// derivation itself.
+func splitRef(r *RNG, stream uint64) RNG {
+	c := fromKey(mix64(r.key + golden64*(stream+1)))
+	c.flip = r.flip
+	return c
+}
+
+// TestKeySplitMatchesRNGSplit: holding a parent as an unexpanded Key and
+// expanding only the leaf must give the same stream, draw for draw, as
+// splitting full generators all the way down — for plain and
+// antithetic roots, along random split paths of depth 1 to 4.
+func TestKeySplitMatchesRNGSplit(t *testing.T) {
+	paths := NewRNG(99)
+	for trial := 0; trial < 200; trial++ {
+		root := *NewRNG(int64(paths.Uint64()))
+		if trial%2 == 1 {
+			root = root.Antithetic()
+		}
+		for i := paths.Intn(5); i > 0; i-- {
+			root.Uint64() // a parent's draw position must not matter
+		}
+		depth := 1 + paths.Intn(4)
+		viaRNG, viaRef, key := root, root, root.Key()
+		for d := 0; d < depth; d++ {
+			stream := paths.Uint64()
+			if paths.Bernoulli(0.5) {
+				stream = uint64(paths.Intn(300)) // small indices, as the engines use
+			}
+			viaRNG = viaRNG.Split(stream)
+			viaRef = splitRef(&viaRef, stream)
+			key = key.Split(stream)
+		}
+		viaKey := key.RNG()
+		if viaKey.Key() != key {
+			t.Fatalf("trial %d: expanded key reports identity %+v, want %+v", trial, viaKey.Key(), key)
+		}
+		for i := 0; i < 64; i++ {
+			a, b, c := viaKey.Uint64(), viaRNG.Uint64(), viaRef.Uint64()
+			if a != b || a != c {
+				t.Fatalf("trial %d (depth %d, antithetic %v): draw %d Key path %#x, RNG.Split %#x, reference %#x",
+					trial, depth, trial%2 == 1, i, a, b, c)
+			}
+		}
+	}
+}
+
 func TestRNGSplitAndDrawsAllocFree(t *testing.T) {
 	// The simulation hot path splits per shelf, per slot, and per
 	// process; none of it may allocate.
@@ -105,6 +153,13 @@ func TestRNGSplitAndDrawsAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Split + sampler round allocated %v times per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		k := r.Key().Split(7).Split(9)
+		grand := k.RNG()
+		sink += grand.Float64()
+	}); n != 0 {
+		t.Fatalf("Key.Split + Key.RNG allocated %v times per run, want 0", n)
 	}
 	_ = sink
 }
